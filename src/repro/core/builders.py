@@ -29,13 +29,25 @@ from repro.errors import ConstraintError, DataShapeError
 
 
 def _as_rows(rows: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
-    """Validate and normalise a row-index selection against data size."""
-    arr = np.asarray(rows, dtype=np.intp)
+    """Validate and normalise a row-index selection against data size.
+
+    Only integer indices are accepted: casting would truncate floats to
+    other rows and read a boolean mask as the row set {0, 1}.
+    """
+    arr = np.asarray(rows)
     if arr.ndim != 1 or arr.size == 0:
         raise ConstraintError("row selection must be a non-empty 1-D sequence")
+    if arr.dtype == np.bool_:
+        raise ConstraintError(
+            "row selection is a boolean mask; pass np.flatnonzero(mask) instead"
+        )
+    if arr.dtype.kind not in "iu":
+        raise ConstraintError(
+            f"row selection must hold integer indices, got dtype {arr.dtype}"
+        )
     if np.any(arr < 0) or np.any(arr >= n):
         raise ConstraintError(f"row indices out of range for n={n}")
-    return np.sort(arr)
+    return np.sort(arr.astype(np.intp, copy=False))
 
 
 def _check_data(data: np.ndarray) -> np.ndarray:
@@ -94,10 +106,14 @@ def cluster_constraint(
     rows_arr = _as_rows(rows, data.shape[0])
     sub = data[rows_arr]
     centred = sub - np.mean(sub, axis=0, keepdims=True)
-    # Right singular vectors of the centred cluster = principal axes.
-    # full_matrices=True so that we always get a complete orthonormal basis
-    # of R^d even when the cluster has fewer points than dimensions.
-    _, _, vt = np.linalg.svd(centred, full_matrices=True)
+    # Right singular vectors of the centred cluster = principal axes.  Only
+    # a cluster with fewer points than dimensions needs full_matrices=True
+    # to complete vt to an orthonormal basis of R^d; U is then at most d x d.
+    # With k >= d the reduced SVD already returns the same d x d vt, bit for
+    # bit, without the k x k U that would make a mark quadratic in its size.
+    _, _, vt = np.linalg.svd(
+        centred, full_matrices=centred.shape[0] < centred.shape[1]
+    )
     constraints: list[Constraint] = []
     for k, axis in enumerate(vt):
         constraints.append(

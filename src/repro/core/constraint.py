@@ -55,12 +55,17 @@ class Constraint:
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.intp)
+        # A private copy, so the caller's array can change without changing
+        # the constraint.  Builders pass sorted rows; one O(k) check then
+        # validates them and only unsorted input pays for a sort.
+        rows = np.array(self.rows, dtype=np.intp)
         if rows.ndim != 1 or rows.size == 0:
             raise ConstraintError("constraint row set must be a non-empty 1-D array")
-        if np.unique(rows).size != rows.size:
-            raise ConstraintError("constraint row set contains duplicate indices")
-        if np.any(rows < 0):
+        if not np.all(rows[1:] > rows[:-1]):
+            rows.sort()
+            if np.any(rows[1:] == rows[:-1]):
+                raise ConstraintError("constraint row set contains duplicate indices")
+        if rows[0] < 0:
             raise ConstraintError("constraint row indices must be non-negative")
         w = np.asarray(self.w, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
@@ -71,7 +76,7 @@ class Constraint:
             raise ConstraintError("constraint vector w must be non-zero")
         # dataclass(frozen=True) blocks normal assignment; store the
         # normalised copies via object.__setattr__ (standard frozen idiom).
-        object.__setattr__(self, "rows", np.sort(rows))
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "w", w)
 
     @property

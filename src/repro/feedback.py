@@ -26,6 +26,7 @@ round-trips it like the built-ins.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Iterable, Sequence
 
@@ -45,11 +46,22 @@ __all__ = [
 ]
 
 
+def _row_index(row: object) -> int:
+    if isinstance(row, bool):
+        raise TypeError("a boolean is not a row index")
+    return operator.index(row)
+
+
 def _as_rows(rows: Iterable[int]) -> tuple[int, ...]:
-    """Normalise any integer iterable (list, ndarray, range) to a tuple."""
+    """Normalise any integer iterable (list, ndarray, range) to a tuple.
+
+    Only Python and NumPy integers are row indices.  ``int()`` would turn
+    ``0.5``, ``"3"`` or ``True`` into some row the caller never named, so
+    floats, strings and booleans are rejected instead.
+    """
     try:
-        return tuple(int(r) for r in rows)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return tuple(_row_index(r) for r in rows)
+    except TypeError as exc:
         raise DataShapeError(f"rows must be an iterable of integers: {exc}") from exc
 
 

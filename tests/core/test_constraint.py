@@ -34,6 +34,23 @@ class TestConstraintValidation:
         with pytest.raises(ConstraintError):
             _lin([-1, 0], [1.0])
 
+    @pytest.mark.parametrize("rows", [[2, 0, 2], [5, -1, 5], [0, 0]])
+    def test_duplicates_rejected_in_any_order(self, rows):
+        with pytest.raises(ConstraintError, match="duplicate"):
+            _lin(rows, [1.0])
+
+    @pytest.mark.parametrize("rows", [[-3, -1], [4, -2, 1]])
+    def test_negative_rows_rejected_in_any_order(self, rows):
+        with pytest.raises(ConstraintError, match="non-negative"):
+            _lin(rows, [1.0])
+
+    @pytest.mark.parametrize("rows", [[0, 1, 2], [2, 0, 1]])
+    def test_rows_are_a_private_copy(self, rows):
+        given_rows = np.asarray(rows, dtype=np.intp)
+        c = _lin(given_rows, [1.0])
+        given_rows[:] = 9
+        np.testing.assert_array_equal(c.rows, [0, 1, 2])
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ConstraintError):
             _lin([0], [0.0, 0.0])

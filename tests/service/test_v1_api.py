@@ -230,6 +230,21 @@ class TestBatchFeedback:
         assert status == 400
         assert api.dispatch("GET", f"/v1/sessions/{sid}")[1]["n_constraints"] == 0
 
+    @pytest.mark.parametrize("rows", [[0.5, 1.9, 2.2], ["3", "4"], [True, 2]])
+    def test_non_integer_rows_are_bad_request(self, api, rows):
+        sid = api.dispatch("POST", "/v1/sessions", body={"dataset": "two"})[1][
+            "session_id"
+        ]
+        status, payload, kind = api._dispatch(
+            "POST",
+            f"/v1/sessions/{sid}/feedback",
+            body={"feedback": [{"kind": "cluster", "rows": rows}]},
+            query={},
+        )
+        assert (status, kind) == (400, "bad_request")
+        assert payload["error"].startswith("DataShapeError")
+        assert api.dispatch("GET", f"/v1/sessions/{sid}")[1]["n_constraints"] == 0
+
     def test_empty_batch_rejected(self, api, two_cluster_data):
         sid = api.dispatch("POST", "/v1/sessions", body={"dataset": "two"})[1][
             "session_id"

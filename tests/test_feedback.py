@@ -62,6 +62,27 @@ class TestSerialization:
         with pytest.raises(DataShapeError):
             ClusterFeedback(rows=(float("inf"),))
 
+    @pytest.mark.parametrize(
+        "rows", [[0.5, 1.9, 2.2], ["3", "4"], [True, 2], [1, 2.0], "12"]
+    )
+    @pytest.mark.parametrize("kind", ["cluster", "view"])
+    def test_wire_rows_must_be_integers(self, kind, rows):
+        # int() would have marked rows 0, 1, 2 for [0.5, 1.9, 2.2].
+        with pytest.raises(DataShapeError, match="integers"):
+            feedback_from_dict({"kind": kind, "rows": rows})
+
+    def test_numpy_non_integer_rows_rejected(self):
+        with pytest.raises(DataShapeError):
+            ClusterFeedback(rows=np.array([0.5, 1.9]))
+        with pytest.raises(DataShapeError):
+            ClusterFeedback(rows=np.array([True, False]))
+
+    def test_numpy_integer_rows_become_python_ints(self):
+        fb = ClusterFeedback(rows=np.array([3, 1], dtype=np.int32))
+        assert fb.rows == (3, 1)
+        assert all(type(r) is int for r in fb.rows)
+        assert ClusterFeedback(rows=(r for r in range(3))).rows == (0, 1, 2)
+
     def test_batch_parser_validates_everything_up_front(self):
         with pytest.raises(DataShapeError):
             feedback_batch_from_payload([])
