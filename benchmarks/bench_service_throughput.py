@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from repro.datasets import x5
+from repro.feedback import ClusterFeedback
 from repro.service import (
     ServiceAPI,
     ServiceClient,
@@ -39,7 +40,7 @@ def _x5_manager():
 def _session_with_clusters(manager, rows):
     sid = manager.create("x5", standardize=True)
     for name, cluster in rows.items():
-        manager.mark_cluster(sid, cluster, label=name)
+        manager.apply_feedback(sid, [ClusterFeedback(rows=cluster, label=name)])
     return sid
 
 

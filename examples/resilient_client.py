@@ -18,28 +18,29 @@ Run with::
     PYTHONPATH=src python examples/resilient_client.py
 """
 
+import os
 import tempfile
-
-import numpy as np
 
 from repro.datasets import three_d_clusters
 from repro.resilience import AdmissionController, CircuitBreaker
 from repro.service import (
-    DirectoryStore,
     ServiceAPI,
     ServiceClient,
     SessionManager,
     start_background,
 )
 from repro.service.client import ServiceClientError
+from repro.store import SQLiteStore
 
 
 def main() -> None:
     bundle = three_d_clusters(seed=0)
-    store_dir = tempfile.mkdtemp(prefix="repro-resilient-")
+    db_path = os.path.join(
+        tempfile.mkdtemp(prefix="repro-resilient-"), "sessions.db"
+    )
 
     manager = SessionManager(
-        {"three-d": bundle.data}, store=DirectoryStore(store_dir)
+        {"three-d": bundle.data}, store=SQLiteStore(db_path)
     )
     api = ServiceAPI(
         manager,
@@ -116,7 +117,7 @@ def main() -> None:
 
     successor = start_background(
         ServiceAPI(SessionManager(
-            {"three-d": bundle.data}, store=DirectoryStore(store_dir)
+            {"three-d": bundle.data}, store=SQLiteStore(db_path)
         ))
     )
     client2 = ServiceClient(successor.base_url)

@@ -11,28 +11,29 @@ Run with::
     PYTHONPATH=src python examples/service_walkthrough.py
 """
 
+import os
 import tempfile
 
 import numpy as np
 
 from repro.datasets import x5
 from repro.service import (
-    DirectoryStore,
     ServiceAPI,
     ServiceClient,
     SessionManager,
     start_background,
 )
+from repro.store import SQLiteStore
 
 
 def main() -> None:
     bundle = x5(seed=0)
     cluster_a = [int(r) for r in np.flatnonzero(bundle.labels == "A")]
-    store_dir = tempfile.mkdtemp(prefix="repro-sessions-")
-
-    manager = SessionManager(
-        {"x5": bundle.data}, store=DirectoryStore(store_dir)
+    db_path = os.path.join(
+        tempfile.mkdtemp(prefix="repro-sessions-"), "sessions.db"
     )
+
+    manager = SessionManager({"x5": bundle.data}, store=SQLiteStore(db_path))
     server = start_background(ServiceAPI(manager))
     client = ServiceClient(server.base_url)
     print(f"server up on {server.base_url}, datasets: {client.datasets()}")
@@ -59,9 +60,9 @@ def main() -> None:
     # --- checkpoint, restart, resume -----------------------------------
     client.checkpoint(sid)
     server.stop()
-    print(f"\nserver stopped; checkpoints in {store_dir}")
+    print(f"\nserver stopped; checkpoints in {db_path}")
 
-    fresh = SessionManager({"x5": bundle.data}, store=DirectoryStore(store_dir))
+    fresh = SessionManager({"x5": bundle.data}, store=SQLiteStore(db_path))
     server = start_background(ServiceAPI(fresh))
     client = ServiceClient(server.base_url)
     resumed = client.view(sid)

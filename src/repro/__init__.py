@@ -81,7 +81,6 @@ from repro.projection import (
     registry,
 )
 from repro.service import (
-    DirectoryStore,
     MemoryStore,
     ServiceClient,
     SessionManager,
@@ -110,7 +109,6 @@ __all__ = [
     "SessionManager",
     "SolveCache",
     "MemoryStore",
-    "DirectoryStore",
     "ServiceClient",
     "ReproError",
     "ConstraintError",

@@ -420,12 +420,9 @@ def run_store_suite(quick: bool = True, seed: int = 0) -> dict:
 
     Four measurements, written to ``BENCH_store.json``:
 
-    * **append** — seconds to write-ahead-append B feedback batches, per
-      backend (SQLite / JSONL) and fsync policy (``always``/``batch``/
-      ``off``) — the per-request durability cost;
-    * **checkpoint put** — B full-checkpoint rewrites through
-      ``DirectoryStore.put`` (fsync'd), the pre-WAL durability pattern
-      the log replaces;
+    * **append** — seconds to write-ahead-append B feedback batches to
+      SQLite, per fsync policy (``always``/``batch``/``off``) — the
+      per-request durability cost;
     * **recover** — open a fresh store and replay a B-batch log tail
       through ``apply_many`` (crash-restart latency);
     * **compact** — fold that tail into a fresh checkpoint;
@@ -443,7 +440,6 @@ def run_store_suite(quick: bool = True, seed: int = 0) -> dict:
     from repro.datasets import three_d_clusters
     from repro.feedback import feedback_from_dict
     from repro.service.manager import SessionManager
-    from repro.service.store import DirectoryStore
     from repro.store import (
         CompactionPolicy,
         SQLiteStore,
@@ -466,37 +462,18 @@ def run_store_suite(quick: bool = True, seed: int = 0) -> dict:
     root = Path(tempfile.mkdtemp(prefix="repro-bench-store-"))
     timings: dict[str, float] = {}
     try:
-        # -- append: B write-ahead batches per backend x fsync policy ----
-        def time_appends(make_store) -> float:
+        # -- append: B write-ahead batches per fsync policy ---------------
+        for policy in ("always", "batch", "off"):
             best = np.inf
             for attempt in range(repeats):
-                store = make_store(attempt)
+                store = SQLiteStore(
+                    root / f"append-{policy}-{attempt}.db", fsync=policy
+                )
                 start = time.perf_counter()
                 for batch in items:
                     store.append_feedback("bench", batch)
                 best = min(best, time.perf_counter() - start)
-            return best
-
-        for policy in ("always", "batch", "off"):
-            timings[f"append_sqlite_{policy}_s"] = time_appends(
-                lambda a, p=policy: SQLiteStore(
-                    root / f"append-{p}-{a}.db", fsync=p
-                )
-            )
-        timings["append_jsonl_batch_s"] = time_appends(
-            lambda a: _jsonl_log_store(root / f"append-jsonl-{a}", "batch")
-        )
-
-        # -- checkpoint put: the pre-WAL full-rewrite durability pattern -
-        ckpt_store = DirectoryStore(root / "ckpt")
-        ckpt_payload = {"session_id": "bench", "dataset": "three-d",
-                        "wal_seq": 0, "session": {"items": items}}
-
-        def checkpoint_puts() -> None:
-            for _ in range(len(items)):
-                ckpt_store.put("bench", ckpt_payload)
-
-        timings["checkpoint_put_s"] = _best_of(repeats, checkpoint_puts)
+            timings[f"append_sqlite_{policy}_s"] = best
 
         # -- recover + compact: a real session with a B-batch log tail ---
         db = root / "recover.db"
@@ -553,20 +530,6 @@ def run_store_suite(quick: bool = True, seed: int = 0) -> dict:
         "timings": timings,
         "durability": durability,
     }
-
-
-def _jsonl_log_store(root: Path, fsync: str):
-    """A bare JSONL log exposing ``append_feedback`` for the bench loop."""
-    from repro.store import JsonlWal
-
-    wal = JsonlWal(Path(root) / "feedback.wal", fsync=fsync)
-
-    class _Shim:
-        @staticmethod
-        def append_feedback(session_id, items, kind="feedback", ref=None):
-            return wal.append(session_id, items, kind=kind, ref=ref)
-
-    return _Shim()
 
 
 def _durability_overhead(root: Path, bundle, size: dict, seed: int) -> dict:
@@ -1103,8 +1066,7 @@ def check_baselines(payload: dict, baselines_path: str | Path) -> list[str]:
     """Compare vectorized timings against committed baselines.
 
     The baselines file maps suite -> mode -> {timing key -> baseline
-    seconds} plus a top-level ``tolerance`` factor (the pre-projection
-    flat layout, mode -> budgets, is still read for older files).
+    seconds} plus a top-level ``tolerance`` factor.
     Returns a list of human-readable failures (empty = within budget).
     Every key listed in the budgets map is gated; reference-loop timings
     are deliberately left out of the baselines so they are never judged.
@@ -1115,11 +1077,6 @@ def check_baselines(payload: dict, baselines_path: str | Path) -> list[str]:
     spec = json.loads(Path(baselines_path).read_text())
     tolerance = float(spec.get("tolerance", 2.0))
     section = spec.get(payload.get("suite", ""))
-    if section is None and payload.get("suite") == "core_solver":
-        # Legacy flat files (mode -> budgets) only ever described the
-        # core-solver suite; other suites must not be judged against
-        # those budgets.
-        section = spec
     budgets = section.get(payload["mode"]) if isinstance(section, dict) else None
     if budgets is None:
         # A gate that checks nothing must not report success.

@@ -330,21 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         metavar="URL",
-        help="session store URL: sqlite:PATH (durable write-ahead log), "
-        "wal:PATH (JSON checkpoints + JSONL log), dir:PATH (checkpoints "
-        "only), memory: (default)",
-    )
-    serve.add_argument(
-        "--store-dir",
-        default=None,
-        help="checkpoint sessions as JSON files here (shorthand for "
-        "--store dir:PATH)",
+        help="session store URL: sqlite:PATH (durable: checkpoints + "
+        "write-ahead log) or memory: (default)",
     )
     serve.add_argument(
         "--fsync",
         default="batch",
         choices=("always", "batch", "off"),
-        help="durability of write-ahead appends on sqlite:/wal: stores "
+        help="durability of write-ahead appends on a sqlite: store "
         "(default: batch)",
     )
     serve.add_argument(
@@ -491,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         store_action.add_argument(
             "url",
             metavar="URL",
-            help="store URL: sqlite:PATH, wal:PATH, or dir:PATH",
+            help="durable store URL: sqlite:PATH",
         )
         store_action.add_argument(
             "--json",
@@ -962,7 +955,6 @@ def cmd_bench(
 def cmd_serve(
     host: str,
     port: int,
-    store_dir: str | None,
     max_sessions: int,
     ttl: float | None,
     cache_size: int,
@@ -1006,11 +998,6 @@ def cmd_serve(
     if drain_budget is None:
         drain_budget = DEFAULT_DRAIN_BUDGET
 
-    if store_url is not None and store_dir is not None:
-        print("--store and --store-dir are mutually exclusive", file=sys.stderr)
-        return 2
-    if store_url is None and store_dir is not None:
-        store_url = f"dir:{store_dir}"
     if workers < 1:
         print(f"--workers must be >= 1, got {workers}", file=sys.stderr)
         return 2
@@ -1088,7 +1075,7 @@ def cmd_serve(
     api.shutdown_hook = server.shutdown
     actual_port = server.server_address[1]
     print(f"repro service on http://{host}:{actual_port}")
-    print("routes: /v1/... (unversioned paths kept as legacy aliases)")
+    print("routes: /v1/...")
     print(f"datasets:   {', '.join(manager.dataset_names())}")
     print(f"objectives: {', '.join(registry.names())}")
     if store is not None:
@@ -1123,17 +1110,15 @@ def cmd_serve(
             print(f"checkpointed {manager.checkpoint_all()} session(s)")
 
     def drain_in_background() -> None:
-        report = run_drain(
-            api.admission,
-            manager,
-            budget_seconds=drain_budget,
-            shutdown=server.shutdown,
-        )
+        report = run_drain(api.admission, manager, budget_seconds=drain_budget)
+        # Report first: once the serve loop stops, the process exits and
+        # takes this daemon thread with it.
         print(
             f"drained: {report['checkpointed']} session(s) checkpointed, "
             f"{report['abandoned_inflight']} request(s) abandoned, "
             f"{report['elapsed_seconds']:.2f}s elapsed"
         )
+        server.shutdown()
 
     def handle_sigterm(signum, frame) -> None:
         # Graceful drain: stop admitting, let in-flight requests finish
@@ -1319,6 +1304,13 @@ def cmd_store(
     except StoreError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    if not isinstance(store, FeedbackLogStore):
+        print(
+            f"{url} has no feedback log (not a durable store); expected "
+            "sqlite:PATH",
+            file=sys.stderr,
+        )
+        return 2
 
     if action == "inspect":
         sessions = {}
@@ -1334,35 +1326,32 @@ def cmd_store(
                 info = {"checkpointed": False}
             except StoreError as exc:
                 info = {"checkpointed": False, "error": str(exc)}
-            if isinstance(store, FeedbackLogStore):
-                tail, damage = store.feedback_tail(
-                    sid, after_seq=info.get("checkpoint_wal_seq", 0)
-                )
-                info["tail_records"] = len(tail)
-                info["last_seq"] = store.last_seq(sid)
-                if damage:
-                    info["damage"] = damage
+            tail, damage = store.feedback_tail(
+                sid, after_seq=info.get("checkpoint_wal_seq", 0)
+            )
+            info["tail_records"] = len(tail)
+            info["last_seq"] = store.last_seq(sid)
+            if damage:
+                info["damage"] = damage
             sessions[sid] = info
         report = {
             "url": url,
             "backend": type(store).__name__,
-            "durable": isinstance(store, FeedbackLogStore),
+            "durable": True,
             "sessions": sessions,
         }
         if as_json:
             print(json.dumps(report, indent=2))
         else:
-            print(f"{url} ({report['backend']}, "
-                  f"{'durable' if report['durable'] else 'checkpoint-only'})")
+            print(f"{url} ({report['backend']}, durable)")
             if not sessions:
                 print("no sessions")
             for sid, info in sessions.items():
-                parts = [f"dataset={info.get('dataset')}"]
-                if "tail_records" in info:
-                    parts.append(
-                        f"wal_seq={info.get('checkpoint_wal_seq', 0)}"
-                        f" tail={info['tail_records']}"
-                    )
+                parts = [
+                    f"dataset={info.get('dataset')}",
+                    f"wal_seq={info.get('checkpoint_wal_seq', 0)}"
+                    f" tail={info['tail_records']}",
+                ]
                 if "damage" in info:
                     parts.append(f"DAMAGE: {info['damage']}")
                 if "error" in info:
@@ -1386,12 +1375,6 @@ def cmd_store(
         return 0 if report["ok"] else 1
 
     # compact
-    if not isinstance(store, FeedbackLogStore):
-        print(
-            f"{url} has no feedback log to compact (checkpoint-only store)",
-            file=sys.stderr,
-        )
-        return 2
     ids = [session] if session else store.list_ids()
     results = {}
     status = 0
@@ -1662,7 +1645,6 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_serve(
             args.host,
             args.port,
-            args.store_dir,
             args.max_sessions,
             args.ttl,
             args.cache_size,

@@ -16,7 +16,6 @@ driving the SIDER web UI.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -253,43 +252,6 @@ class ExplorationSession:
         self._feedback_log.append(item)
         self._note_feedback(name, self.model.n_constraints - before)
         return name
-
-    # ------------------------------------------------------------------
-    # Deprecated imperative wrappers (use apply()/apply_many())
-    # ------------------------------------------------------------------
-
-    def mark_cluster(self, rows: Sequence[int] | np.ndarray, label: str = "") -> None:
-        """Deprecated: use ``apply(ClusterFeedback(rows=..., label=...))``."""
-        self._warn_deprecated("mark_cluster", "ClusterFeedback")
-        self.apply(ClusterFeedback(rows=rows, label=label))
-
-    def mark_view_selection(
-        self, rows: Sequence[int] | np.ndarray, label: str = ""
-    ) -> None:
-        """Deprecated: use ``apply(ViewSelectionFeedback(rows=..., label=...))``."""
-        self._warn_deprecated("mark_view_selection", "ViewSelectionFeedback")
-        self.apply(
-            ViewSelectionFeedback(rows=rows, label=label)
-        )
-
-    def assume_margins(self) -> None:
-        """Deprecated: use ``apply(MarginFeedback())``."""
-        self._warn_deprecated("assume_margins", "MarginFeedback")
-        self.apply(MarginFeedback())
-
-    def assume_overall_covariance(self) -> None:
-        """Deprecated: use ``apply(CovarianceFeedback())``."""
-        self._warn_deprecated("assume_overall_covariance", "CovarianceFeedback")
-        self.apply(CovarianceFeedback())
-
-    @staticmethod
-    def _warn_deprecated(method: str, feedback_cls: str) -> None:
-        warnings.warn(
-            f"ExplorationSession.{method}() is deprecated; apply a "
-            f"repro.feedback.{feedback_cls} via session.apply() instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
 
     def undo_last_feedback(self) -> str | None:
         """Retract the most recent feedback action (all its constraints).

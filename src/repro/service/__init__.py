@@ -6,11 +6,12 @@ persistence, solve caching, and a stdlib-only JSON-over-HTTP API.
 
 Layering (each stratum usable on its own):
 
-``store``    :class:`SessionStore` checkpoint backends (memory / directory)
+``store``    :class:`SessionStore` interface + in-process :class:`MemoryStore`
+             (the durable backend is :mod:`repro.store`'s SQLite store)
 ``cache``    :class:`SolveCache` — reuse fitted background models
 ``manager``  :class:`SessionManager` — locks, LRU eviction, TTL, resume
 ``api``      :class:`ServiceAPI` — transport-agnostic JSON routing,
-             versioned under ``/v1`` (legacy unversioned aliases kept)
+             every route under ``/v1``
 ``server``   :class:`ReproServer` — ``ThreadingHTTPServer`` front-end
 ``client``   :class:`ServiceClient` — urllib-based Python client
 ``rpc``      length-prefixed JSON frames over Unix sockets (shard link)
@@ -55,7 +56,6 @@ from repro.service.router import (
 from repro.service.server import ReproServer, serve, start_background
 from repro.service.worker import WorkerConfig, WorkerRuntime
 from repro.service.store import (
-    DirectoryStore,
     InvalidSessionIdError,
     MemoryStore,
     SessionNotFoundError,
@@ -65,7 +65,6 @@ from repro.service.store import (
 
 __all__ = [
     "API_VERSION",
-    "DirectoryStore",
     "HashRing",
     "InProcessWorker",
     "InvalidSessionIdError",

@@ -6,8 +6,8 @@ HTTP-shaped request (method, path, query, decoded JSON body) and returns
 :mod:`repro.service.server` is one front-end; tests can call ``dispatch``
 directly without opening a socket.
 
-Routes (canonical, versioned under ``/v1``)
--------------------------------------------
+Routes (all versioned under ``/v1``)
+------------------------------------
 ==========  ====================================  ===============================
 Method      Path                                  Meaning
 ==========  ====================================  ===============================
@@ -57,10 +57,6 @@ the JSONL sink; 4xx/5xx responses emit a typed ``error`` event instead.
 The response payloads themselves are byte-identical with observability
 on or off.
 
-Every route is also reachable without the ``/v1`` prefix (legacy alias),
-and ``POST /sessions/{id}/constraints`` — the pre-``/v1`` feedback route —
-keeps working with its original single-item body shape.
-
 The view route accepts ``?objective=<name>`` (rank with a different
 registered objective) and ``?detail=1`` (include ``row_surprise`` and
 ``projected`` alongside ``knowledge_nats`` — the observation payload
@@ -73,9 +69,8 @@ batch is validated before anything is applied, applies atomically, and
 costs at most one background-model fit.
 
 A known ``/v1`` path hit with the wrong method answers ``405`` with the
-allowed methods in the payload's ``"allow"`` list; unknown paths — and
-wrong-method hits on the legacy unversioned aliases, which keep their
-historical blanket behaviour — answer ``404``.
+allowed methods in the payload's ``"allow"`` list; any other path —
+including every path outside ``/v1`` — answers ``404``.
 """
 
 from __future__ import annotations
@@ -87,7 +82,7 @@ import numpy as np
 
 from repro import obs, perf
 from repro.errors import ConstraintError, DataShapeError, ReproError
-from repro.feedback import feedback_batch_from_payload, feedback_from_dict
+from repro.feedback import feedback_batch_from_payload
 from repro.projection import registry
 from repro.projection.view import Projection2D
 from repro.resilience import chaos
@@ -98,7 +93,11 @@ from repro.resilience.admission import (
 )
 from repro.resilience.chaos import ChaosError
 from repro.resilience.deadline import DeadlineExceededError, deadline_scope
-from repro.resilience.drain import DEFAULT_DRAIN_BUDGET, run_drain
+from repro.resilience.drain import (
+    DEFAULT_DRAIN_BUDGET,
+    publish_drain_then_stop,
+    run_drain,
+)
 from repro.service.manager import (
     SessionExistsError,
     SessionManager,
@@ -110,7 +109,7 @@ from repro.service.store import (
     StoreError,
 )
 
-#: Version prefix of the canonical routes.
+#: Version prefix every route lives under.
 API_VERSION = "v1"
 
 #: HTTP request headers the transport forwards into ``dispatch``.
@@ -216,8 +215,8 @@ class ServiceAPI:
         )
         self.default_deadline_ms = default_deadline_ms
         self.drain_budget = float(drain_budget)
-        # Set by the serving layer: called after a drain finishes
-        # checkpointing, to stop the HTTP server / exit the process.
+        # Set by the serving layer: called once a drain's report is
+        # recorded, to stop the HTTP server / exit the process.
         self.shutdown_hook = None
         self.last_drain: dict | None = None
 
@@ -287,9 +286,11 @@ class ServiceAPI:
         can emit a ``Retry-After`` header.
         """
         try:
-            normalized, versioned = self._strip_version(path.rstrip("/") or "/")
+            normalized = self._strip_version(path)
             chaos.hit("api.dispatch")
-            handlers = self._handlers_for(normalized)
+            handlers = (
+                None if normalized is None else self._handlers_for(normalized)
+            )
             if handlers is None:
                 return (
                     404,
@@ -298,22 +299,13 @@ class ServiceAPI:
                 )
             handler = handlers.get(method)
             if handler is None:
-                if versioned:
-                    allow = sorted(handlers)
-                    return (
-                        405,
-                        {
-                            "error": f"method {method} not allowed for {path}",
-                            "allow": allow,
-                        },
-                        "method_not_allowed",
-                    )
-                # Legacy aliases keep their historical blanket 404 so
-                # pre-/v1 clients see byte-identical error behaviour.
                 return (
-                    404,
-                    {"error": f"no route {method} {path}"},
-                    "unknown_route",
+                    405,
+                    {
+                        "error": f"method {method} not allowed for {path}",
+                        "allow": sorted(handlers),
+                    },
+                    "method_not_allowed",
                 )
             exempt = normalized in _EXEMPT_PATHS
             budget = (
@@ -405,17 +397,19 @@ class ServiceAPI:
             )
 
     @staticmethod
-    def _strip_version(path: str) -> tuple[str, bool]:
-        """``/v1/...`` and legacy unversioned paths share one route table.
+    def _strip_version(path: str) -> str | None:
+        """The route-table key of a ``/v1/...`` path, else ``None``.
 
-        Returns ``(normalized_path, was_versioned)``.
+        A trailing slash is ignored; any path outside ``/v1`` has no
+        route (the caller answers 404).
         """
+        path = path.rstrip("/")
         prefix = f"/{API_VERSION}"
         if path == prefix:
-            return "/", True
+            return "/"
         if path.startswith(prefix + "/"):
-            return path[len(prefix):], True
-        return path, False
+            return path[len(prefix):]
+        return None
 
     def _handlers_for(self, path: str) -> dict | None:
         """Method->handler table for one normalized path (None = 404)."""
@@ -444,7 +438,6 @@ class ServiceAPI:
             "": {"GET": self._session_status, "DELETE": self._delete_session},
             "/view": {"GET": self._view},
             "/feedback": {"POST": self._feedback},
-            "/constraints": {"POST": self._constraints},
             "/undo": {"POST": self._undo},
             "/checkpoint": {"POST": self._checkpoint},
         }
@@ -461,9 +454,8 @@ class ServiceAPI:
     # ------------------------------------------------------------------
 
     def _health(self, body: dict, query: dict) -> tuple[int, dict]:
-        # Payload kept exactly as in the unversioned API (clients assert
-        # on it) — the SLO extension below only applies when the engine
-        # is explicitly enabled (repro serve --obs).
+        # Payload stays exactly {"status": "ok"} (clients assert on it)
+        # unless the SLO engine is explicitly enabled (repro serve --obs).
         state = obs.active()
         if state is not None and state.slo is not None:
             report = state.slo_report()
@@ -513,16 +505,8 @@ class ServiceAPI:
         }
 
     def _run_drain_background(self, budget: float) -> None:
-        report = run_drain(
-            self.admission,
-            self.manager,
-            budget_seconds=budget,
-            shutdown=self.shutdown_hook,
-        )
-        self.last_drain = report
-        state = obs.active()
-        if state is not None and state.events is not None:
-            state.events.emit({"event": "drain", **report})
+        report = run_drain(self.admission, self.manager, budget_seconds=budget)
+        publish_drain_then_stop(self, report)
 
     def _metrics(self, body: dict, query: dict) -> tuple[int, dict]:
         """Metrics scrape: Prometheus text by default, ``?format=json``.
@@ -646,19 +630,6 @@ class ServiceAPI:
         key = getattr(_request_ctx, "idempotency_key", None)
         stats = self.manager.apply_feedback(sid, batch, idempotency_key=key)
         return 200, stats
-
-    def _constraints(
-        self, sid: str, body: dict, query: dict
-    ) -> tuple[int, dict]:
-        """Legacy single-item feedback route (pre-``/v1`` body shape)."""
-        item = feedback_from_dict(
-            {
-                "kind": body.get("kind", "cluster"),
-                "rows": body.get("rows", []),
-                "label": str(body.get("label", "")),
-            }
-        )
-        return 200, self.manager.apply_feedback(sid, [item])
 
     def _undo(self, sid: str, body: dict, query: dict) -> tuple[int, dict]:
         label = self.manager.undo(sid)

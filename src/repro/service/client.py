@@ -38,7 +38,7 @@ from repro.resilience.retry import (
     breaker_for,
     classify,
 )
-from repro.service.api import DEADLINE_HEADER, IDEMPOTENCY_HEADER
+from repro.service.api import API_VERSION, DEADLINE_HEADER, IDEMPOTENCY_HEADER
 
 
 class ServiceClientError(ReproError):
@@ -92,9 +92,6 @@ class ServiceClient:
         e.g. ``"http://127.0.0.1:8000"`` (trailing slash optional).
     timeout:
         Per-request socket timeout in seconds.
-    api_version:
-        Route-prefix version; ``"v1"`` (default) talks to the versioned
-        routes, ``None`` falls back to the legacy unversioned aliases.
     connect_retries:
         How many times a connection-refused request is retried before
         giving up.  This bridges the race between launching a server and
@@ -135,11 +132,13 @@ class ServiceClient:
     numbers loadgen reports).
     """
 
+    #: Prefix of every request path (the server routes ``/v1`` only).
+    prefix = f"/{API_VERSION}"
+
     def __init__(
         self,
         base_url: str,
         timeout: float = 30.0,
-        api_version: str | None = "v1",
         connect_retries: int = 3,
         retry_delay: float = 0.1,
         max_retries: int = 2,
@@ -151,7 +150,6 @@ class ServiceClient:
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.prefix = f"/{api_version}" if api_version else ""
         if connect_retries < 0:
             raise ValueError(
                 f"connect_retries must be non-negative, got {connect_retries}"
@@ -504,33 +502,20 @@ class ServiceClient:
             self.counters["dedup"] += 1
         return stats
 
-    def _single_feedback(self, session_id: str, feedback: Feedback) -> dict:
-        """One feedback item, routed per API version.
-
-        In legacy mode (``api_version=None``) this posts the pre-``/v1``
-        ``/constraints`` body shape, so the client stays compatible with
-        servers that predate the batch endpoint.
-        """
-        if self.prefix:
-            return self.apply_feedback(session_id, [feedback])
-        return self._request(
-            "POST", f"/sessions/{session_id}/constraints", feedback.to_dict()
-        )
-
     def mark_cluster(
         self, session_id: str, rows: Sequence[int], label: str = ""
     ) -> dict:
         """Post "these points form a cluster" feedback (one-item batch)."""
-        return self._single_feedback(
-            session_id, ClusterFeedback(rows=rows, label=label)
+        return self.apply_feedback(
+            session_id, [ClusterFeedback(rows=rows, label=label)]
         )
 
     def mark_view_selection(
         self, session_id: str, rows: Sequence[int], label: str = ""
     ) -> dict:
         """Post feedback along the session's current view axes."""
-        return self._single_feedback(
-            session_id, ViewSelectionFeedback(rows=rows, label=label)
+        return self.apply_feedback(
+            session_id, [ViewSelectionFeedback(rows=rows, label=label)]
         )
 
     def undo(self, session_id: str) -> str | None:

@@ -15,7 +15,7 @@ library's single-session loop it adds exactly what a server needs:
   :class:`~repro.service.cache.SolveCache`, so identical belief states
   across sessions (same data, constraints, options) reuse one solve;
 * **durability** (optional) — with a write-ahead-logged store from
-  :mod:`repro.store` (``sqlite:`` / ``wal:``), every feedback batch is
+  :mod:`repro.store` (``sqlite:``), every feedback batch is
   durable before its apply commits and crash recovery replays the log
   tail bit-for-bit; see the constructor's "Durable stores" notes.
 
@@ -56,11 +56,7 @@ import numpy as np
 from repro import obs, perf
 from repro.core.session import ExplorationSession
 from repro.errors import ReproError
-from repro.feedback import (
-    ClusterFeedback,
-    Feedback,
-    ViewSelectionFeedback,
-)
+from repro.feedback import Feedback, ViewSelectionFeedback
 from repro.io import data_fingerprint, session_from_payload, session_to_payload
 from repro.projection.view import Projection2D
 from repro.service.cache import SolveCache
@@ -194,7 +190,7 @@ class SessionManager:
     Durable stores
     --------------
     When ``store`` is also a :class:`~repro.store.wal.FeedbackLogStore`
-    (``sqlite:`` / ``wal:``), every feedback batch and undo is appended
+    (``sqlite:``), every feedback batch and undo is appended
     to the write-ahead log *before* the in-memory apply commits, a
     genesis checkpoint is written at :meth:`create`, and resume replays
     the log tail through the normal ``apply_many`` codepath — so every
@@ -782,41 +778,6 @@ class SessionManager:
                 self._checkpoint_entry(entry)
             except StoreError:
                 pass  # the batch is durable in the log; fold on a later pass
-
-    def mark_cluster(
-        self,
-        session_id: str,
-        rows: Sequence[int] | np.ndarray,
-        label: str = "",
-    ) -> dict:
-        """Post "these points form a cluster" feedback to one session.
-
-        Thin wrapper over :meth:`apply_feedback`, kept for callers of the
-        pre-vocabulary API.
-        """
-        return self.apply_feedback(
-            session_id,
-            [ClusterFeedback(rows=rows, label=label)],
-        )
-
-    def mark_view_selection(
-        self,
-        session_id: str,
-        rows: Sequence[int] | np.ndarray,
-        label: str = "",
-    ) -> dict:
-        """Post feedback along the session's current view axes.
-
-        Thin wrapper over :meth:`apply_feedback`.
-        """
-        return self.apply_feedback(
-            session_id,
-            [
-                ViewSelectionFeedback(
-                    rows=rows, label=label
-                )
-            ],
-        )
 
     def undo(self, session_id: str) -> str | None:
         """Retract the session's most recent feedback action.

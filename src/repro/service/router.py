@@ -46,7 +46,10 @@ from repro.resilience.admission import (
     DrainingError,
     OverloadedError,
 )
-from repro.resilience.drain import DEFAULT_DRAIN_BUDGET
+from repro.resilience.drain import (
+    DEFAULT_DRAIN_BUDGET,
+    publish_drain_then_stop,
+)
 from repro.service.api import (
     _EXEMPT_PATHS,
     _SESSION_PATH,
@@ -415,9 +418,9 @@ class Router:
         body = body if body is not None else {}
         query = query if query is not None else {}
         method = method.upper()
-        normalized, _versioned = ServiceAPI._strip_version(
-            path.rstrip("/") or "/"
-        )
+        normalized = ServiceAPI._strip_version(path)
+        if normalized is None:
+            return 404, {"error": f"no route {method} {path}"}
         handler = self._local_routes().get((method, normalized))
         if handler is not None:
             try:
@@ -909,15 +912,7 @@ class Router:
         return report
 
     def _run_drain_background(self, budget: float) -> None:
-        report = self.drain(budget)
-        if self.shutdown_hook is not None:
-            try:
-                self.shutdown_hook()
-            except Exception:  # noqa: BLE001 — drain report still stands
-                pass
-        state = obs.active()
-        if state is not None and state.events is not None:
-            state.events.emit({"event": "drain", **report})
+        publish_drain_then_stop(self, self.drain(budget))
 
     def close(self) -> None:
         """Terminate every worker and forget the assignments."""

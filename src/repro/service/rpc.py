@@ -103,7 +103,7 @@ def recv_frame(sock: socket.socket):
     body = _recv_exact(sock, length)
     try:
         return json.loads(body)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise RpcError(f"frame body is not JSON: {exc}") from exc
 
 

@@ -59,7 +59,22 @@ class _RequestHandler(BaseHTTPRequestHandler):
         parsed = urlsplit(self.path)
         query = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
         body = None
-        length = int(self.headers.get("Content-Length") or 0)
+        length_raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (length_raw.isascii() and length_raw.isdigit()):
+            # The body's extent is unknown, so the stream cannot be
+            # resynchronised: answer and close the connection.
+            self.close_connection = True
+            self._reject(
+                state,
+                started,
+                method,
+                parsed.path,
+                400,
+                f"invalid Content-Length header: {length_raw!r}",
+                "bad_request",
+            )
+            return
+        length = int(length_raw)
         max_bytes = self.server.max_body_bytes  # type: ignore[attr-defined]
         if max_bytes is not None and length > max_bytes:
             # Reject without reading; the unread body would poison the

@@ -1,26 +1,22 @@
-"""Session persistence backends: where checkpointed sessions live.
+"""Session checkpoint stores: the interface and the in-process backend.
 
 A :class:`SessionStore` maps session ids to JSON payloads (the wrapped
-:func:`repro.io.session_to_payload` form written by the manager).  Two
-backends ship with the service:
+:func:`repro.io.session_to_payload` form written by the manager).
+:class:`MemoryStore` — a thread-safe dict — serves tests and ephemeral
+deployments; the one durable backend, which a restarted server resumes
+from, is :class:`~repro.store.sqlite.SQLiteStore` (checkpoints plus a
+write-ahead feedback log in one database).
 
-* :class:`MemoryStore` — a thread-safe dict, for tests and ephemeral
-  deployments;
-* :class:`DirectoryStore` — one JSON file per session under a directory,
-  written atomically, so a restarted server resumes where it left off.
-
-Both only ever see plain JSON values; the data matrix itself is never
+Stores only ever see plain JSON values; the data matrix itself is never
 stored (sessions are resumed against a dataset the manager resolves).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 import threading
 from abc import ABC, abstractmethod
-from pathlib import Path
 
 from repro.errors import ReproError
 
@@ -48,18 +44,6 @@ def validate_session_id(session_id: str) -> str:
             "characters of [A-Za-z0-9._-] and not start with a punctuation"
         )
     return session_id
-
-
-def _fsync_dir(directory: Path) -> None:
-    """Best-effort directory fsync (some filesystems refuse dir fds)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class SessionStore(ABC):
@@ -94,7 +78,7 @@ class MemoryStore(SessionStore):
 
     The round-trip both deep-copies (so a caller mutating a payload after
     ``put`` cannot corrupt the store) and guarantees that anything accepted
-    here would also survive the on-disk backend.
+    here would also survive the durable backend.
     """
 
     def __init__(self) -> None:
@@ -130,79 +114,3 @@ class MemoryStore(SessionStore):
     def __contains__(self, session_id: str) -> bool:
         with self._lock:
             return session_id in self._payloads
-
-
-class DirectoryStore(SessionStore):
-    """One ``<session_id>.json`` file per session under a root directory.
-
-    Writes go through a temporary file, an ``fsync``, an
-    :func:`os.replace`, and an ``fsync`` of the directory — so a crash
-    (process *or* power) mid-write leaves either the old complete
-    checkpoint or the new complete checkpoint, never a truncated or
-    disappearing one.  The two fsyncs cost on the order of a disk flush
-    each (low milliseconds on common hardware) per checkpoint; that is
-    acceptable here because checkpoints are per-eviction/per-request
-    events, not per-feedback — the per-batch durable path is
-    :mod:`repro.store`'s write-ahead log, which amortises its own syncs.
-    """
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, session_id: str) -> Path:
-        return self.root / f"{validate_session_id(session_id)}.json"
-
-    def put(self, session_id: str, payload: dict) -> None:
-        path = self._path(session_id)
-        try:
-            encoded = json.dumps(payload, indent=2)
-        except (TypeError, ValueError) as exc:
-            raise StoreError(f"payload is not JSON-serialisable: {exc}") from exc
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(encoded)
-                fh.flush()
-                # Sync the content *before* the rename: os.replace is
-                # atomic in the namespace, but without this a power cut
-                # after the rename could expose an empty/partial file.
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-            # ...and sync the directory so the rename itself is durable.
-            _fsync_dir(self.root)
-        except OSError as exc:
-            raise StoreError(f"cannot write checkpoint {path}: {exc}") from exc
-
-    def get(self, session_id: str) -> dict:
-        path = self._path(session_id)
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            raise SessionNotFoundError(
-                f"no stored session {session_id!r} under {self.root}"
-            ) from None
-        except OSError as exc:
-            raise StoreError(f"cannot read checkpoint {path}: {exc}") from exc
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"corrupt checkpoint {path}: {exc}") from exc
-
-    def delete(self, session_id: str) -> None:
-        path = self._path(session_id)
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            pass
-        except OSError as exc:
-            raise StoreError(f"cannot delete checkpoint {path}: {exc}") from exc
-
-    def list_ids(self) -> list[str]:
-        return sorted(p.stem for p in self.root.glob("*.json"))
-
-    def __contains__(self, session_id: str) -> bool:
-        try:
-            return self._path(session_id).exists()
-        except StoreError:
-            return False

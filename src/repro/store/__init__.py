@@ -1,32 +1,23 @@
 """`repro.store`: the durable session tier — WAL, SQLite, recovery.
 
-:mod:`repro.service.store` defines the in-process session stores
-(:class:`MemoryStore`, :class:`DirectoryStore`); this package adds the
-*durable* tier on top: an append-only write-ahead log of feedback
-batches (:mod:`repro.store.wal`), a single-file SQLite backend holding
-checkpoints and log together (:mod:`repro.store.sqlite`), crash
-recovery by checkpoint + replay (:mod:`repro.store.recovery`), and log
-compaction (:mod:`repro.store.compaction`).
+:mod:`repro.service.store` defines the session-store interface and the
+in-process :class:`MemoryStore`; this package adds the *durable* tier on
+top: the write-ahead log's records and interface
+(:mod:`repro.store.wal`), the SQLite backend holding checkpoints and log
+together in one database (:mod:`repro.store.sqlite`), crash recovery by
+checkpoint + replay (:mod:`repro.store.recovery`), and log compaction
+(:mod:`repro.store.compaction`).
 
 :func:`store_from_url` maps the CLI's ``--store`` URL syntax onto
 concrete stores::
 
     memory:              MemoryStore        (no durability; default)
-    dir:PATH             DirectoryStore     (checkpoint files only)
-    wal:PATH             WalDirectoryStore  (checkpoint files + JSONL WAL)
     sqlite:PATH          SQLiteStore        (one database, transactional)
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from repro.service.store import (
-    DirectoryStore,
-    MemoryStore,
-    SessionStore,
-    StoreError,
-)
+from repro.service.store import MemoryStore, SessionStore, StoreError
 from repro.store.compaction import (
     CompactionPolicy,
     compact_offline,
@@ -45,8 +36,6 @@ from repro.store.sqlite import SQLiteStore
 from repro.store.wal import (
     FSYNC_POLICIES,
     FeedbackLogStore,
-    JsonlWal,
-    WalDirectoryStore,
     WalRecord,
     record_checksum,
     validate_fsync_policy,
@@ -57,10 +46,8 @@ __all__ = [
     "RECOVERY_POLICIES",
     "CompactionPolicy",
     "FeedbackLogStore",
-    "JsonlWal",
     "RecoveredState",
     "SQLiteStore",
-    "WalDirectoryStore",
     "WalRecord",
     "compact_offline",
     "load_session_state",
@@ -76,26 +63,16 @@ __all__ = [
 
 
 def store_from_url(url: str, fsync: str = "batch") -> SessionStore:
-    """Build a session store from a ``scheme:path`` URL.
+    """Build a session store from a ``memory:`` or ``sqlite:PATH`` URL.
 
-    See the module docstring for the scheme table.  A bare path (no
-    scheme) is rejected with a hint rather than guessed at.
+    Anything else — a bare path, an empty path, another scheme — raises
+    :class:`StoreError` naming the two accepted forms.
     """
-    if url == "memory:" or url == "memory":
+    if url in ("memory:", "memory"):
         return MemoryStore()
-    scheme, sep, path = url.partition(":")
-    if not sep or not path:
-        raise StoreError(
-            f"bad store URL {url!r}; expected memory:, dir:PATH, wal:PATH "
-            "or sqlite:PATH"
-        )
-    if scheme == "dir":
-        return DirectoryStore(Path(path))
-    if scheme == "wal":
-        return WalDirectoryStore(Path(path), fsync=fsync)
-    if scheme == "sqlite":
-        return SQLiteStore(Path(path), fsync=fsync)
+    scheme, _, path = url.partition(":")
+    if scheme == "sqlite" and path:
+        return SQLiteStore(path, fsync=fsync)
     raise StoreError(
-        f"unknown store scheme {scheme!r} in {url!r}; expected memory:, "
-        "dir:, wal: or sqlite:"
+        f"bad store URL {url!r}; expected memory: or sqlite:PATH"
     )

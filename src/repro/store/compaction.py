@@ -62,8 +62,8 @@ def compact_offline(
 
     if not isinstance(store, FeedbackLogStore):
         raise StoreError(
-            "store has no feedback log to compact; only WAL-backed stores "
-            "(sqlite:, wal:) support compaction"
+            "store has no feedback log to compact; only the durable "
+            "sqlite: store supports compaction"
         )
     session, state = recover_session(
         store,

@@ -35,12 +35,7 @@ from repro.service.store import (
     StoreError,
     validate_session_id,
 )
-from repro.store.wal import (
-    FeedbackLogStore,
-    WalRecord,
-    record_checksum,
-    validate_fsync_policy,
-)
+from repro.store.wal import FeedbackLogStore, WalRecord, validate_fsync_policy
 
 __all__ = ["SCHEMA_VERSION", "SQLiteStore"]
 
@@ -476,7 +471,3 @@ class SQLiteStore(SessionStore, FeedbackLogStore):
             "schema_version": self.schema_version(),
             "sessions": sessions,
         }
-
-
-# record_checksum re-exported for checksum verification convenience.
-_ = record_checksum

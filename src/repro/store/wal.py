@@ -1,4 +1,4 @@
-"""Append-only write-ahead log of typed feedback batches.
+"""Write-ahead log of typed feedback batches: records and the log interface.
 
 The durable tier's core idea: every mutation of a session's knowledge
 state (one :meth:`~repro.core.session.ExplorationSession.apply_many`
@@ -7,7 +7,7 @@ commits.  Recovery is then "load the latest checkpoint and replay the
 log tail" — bit-for-bit, because all feedback is typed and serialisable
 and the session's refits are deterministic.
 
-This module defines the pieces every durable backend shares:
+This module defines the backend-independent pieces:
 
 * :class:`WalRecord` — one logged batch: session id, per-session
   monotonic sequence number, kind (``feedback`` / ``undo`` / ``abort``),
@@ -15,13 +15,10 @@ This module defines the pieces every durable backend shares:
 * :class:`FeedbackLogStore` — the capability interface a
   :class:`~repro.service.store.SessionStore` grows to become a durable
   store (append / tail / rollback / prune / transactional
-  checkpoint-and-prune).  :class:`~repro.store.sqlite.SQLiteStore` keeps
-  the log in a database table; :class:`WalDirectoryStore` here pairs the
-  JSON-file checkpoints of :class:`~repro.service.store.DirectoryStore`
-  with a shared JSONL log file;
-* :class:`JsonlWal` — the append-only JSONL file itself, with a
-  configurable fsync policy (``always`` / ``batch`` / ``off``) and
-  partial-tail repair on open.
+  checkpoint-and-prune), implemented by
+  :class:`~repro.store.sqlite.SQLiteStore`;
+* the fsync policies (``always`` / ``batch`` / ``off``) a durable
+  backend maps onto its own flushing.
 
 Record kinds
 ------------
@@ -30,32 +27,20 @@ Record kinds
 ``abort``      annuls the record named by ``ref`` — written when the
                in-memory apply failed *after* its write-ahead record was
                already durable, so recovery must not replay it
-``prune``      (JSONL backend only) a sequence-floor marker left behind by
-               compaction, so sequence numbers stay monotonic across folds
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from repro.service.store import (
-    DirectoryStore,
-    StoreError,
-    _fsync_dir,
-    validate_session_id,
-)
+from repro.service.store import StoreError
 
 __all__ = [
     "FSYNC_POLICIES",
     "FeedbackLogStore",
-    "JsonlWal",
-    "WalDirectoryStore",
     "WalRecord",
     "record_checksum",
     "validate_fsync_policy",
@@ -108,7 +93,7 @@ class WalRecord:
     """One durable log entry: a feedback batch, an undo, or an abort.
 
     ``key`` is the client-supplied idempotency key of a feedback batch
-    (``None`` for undo/abort/prune and for keyless clients); it rides in
+    (``None`` for undo/abort and for keyless clients); it rides in
     the log so recovery can rebuild the dedup map and refuse to replay a
     batch the session already holds.
     """
@@ -148,37 +133,6 @@ class WalRecord:
             self.session_id, self.seq, self.kind, self.items, self.ref, self.key
         )
 
-    def to_json_line(self) -> str:
-        """One JSONL line (no trailing newline)."""
-        payload = {
-            "sid": self.session_id,
-            "seq": self.seq,
-            "kind": self.kind,
-            "items": self.items,
-            "ref": self.ref,
-            "sum": self.checksum,
-        }
-        if self.key is not None:
-            payload["key"] = self.key
-        return json.dumps(payload, separators=(",", ":"))
-
-    @classmethod
-    def from_json_line(cls, line: str) -> "WalRecord":
-        """Parse one JSONL line; raises :class:`StoreError` when malformed."""
-        try:
-            raw = json.loads(line)
-            return cls(
-                session_id=raw["sid"],
-                seq=int(raw["seq"]),
-                kind=str(raw.get("kind", "feedback")),
-                items=list(raw.get("items") or []),
-                ref=raw.get("ref"),
-                checksum=str(raw.get("sum", "")),
-                key=raw.get("key"),
-            )
-        except (ValueError, TypeError, KeyError) as exc:
-            raise StoreError(f"malformed WAL record: {exc}") from exc
-
 
 def resolve_aborts(records: list[WalRecord]) -> list[WalRecord]:
     """Drop aborted records and the abort markers that annul them.
@@ -187,11 +141,7 @@ def resolve_aborts(records: list[WalRecord]) -> list[WalRecord]:
     callers verify continuity on the raw tail first, then filter.
     """
     aborted = {r.ref for r in records if r.kind == "abort" and r.ref is not None}
-    return [
-        r
-        for r in records
-        if r.kind not in ("abort", "prune") and r.seq not in aborted
-    ]
+    return [r for r in records if r.kind != "abort" and r.seq not in aborted]
 
 
 class FeedbackLogStore(ABC):
@@ -237,10 +187,10 @@ class FeedbackLogStore(ABC):
         """Records with ``seq > after_seq`` in order, plus damage info.
 
         The second element is ``None`` for a clean read, or a description
-        of storage-level tail damage (a torn final line, an unreadable
-        row) — in which case the returned records are the valid prefix
-        and :mod:`repro.store.recovery`'s corrupt-tail policy decides
-        whether that prefix is acceptable.
+        of storage-level tail damage (an unreadable row) — in which case
+        the returned records are the valid prefix and
+        :mod:`repro.store.recovery`'s corrupt-tail policy decides whether
+        that prefix is acceptable.
         """
 
     @abstractmethod
@@ -251,339 +201,13 @@ class FeedbackLogStore(ABC):
     def prune_feedback(self, session_id: str, up_to_seq: int) -> int:
         """Drop records with ``seq <= up_to_seq``; returns how many."""
 
+    @abstractmethod
     def checkpoint_and_prune(
         self, session_id: str, payload: dict, up_to_seq: int
     ) -> int:
         """Write a checkpoint and drop the log it folds, atomically.
 
-        Default implementation checkpoints first, then prunes — safe
-        (a crash in between leaves extra replayable records, never lost
-        ones) but not atomic; :class:`~repro.store.sqlite.SQLiteStore`
-        overrides with one transaction.
+        A crash must leave either the old checkpoint with its whole tail
+        or the new checkpoint with the folded records gone; returns how
+        many records were dropped.
         """
-        self.put(session_id, payload)  # type: ignore[attr-defined]
-        return self.prune_feedback(session_id, up_to_seq)
-
-
-class JsonlWal:
-    """One append-only JSONL file of :class:`WalRecord` lines.
-
-    Shared by every session of a store: records carry their session id,
-    and per-session sequence numbers are tracked in memory (rebuilt by
-    scanning on open).  Appends serialize under one lock; reads re-scan
-    the file, so a fresh instance (another process) sees every durable
-    record.
-
-    A torn final line — the classic crash-mid-append artifact — is
-    repaired on open by truncating to the last complete record; torn or
-    corrupt lines *before* other valid lines are reported as damage, not
-    silently dropped.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        fsync: str = "batch",
-        batch_every: int = 32,
-    ) -> None:
-        self.path = Path(path)
-        self.fsync = validate_fsync_policy(fsync)
-        self.batch_every = max(int(batch_every), 1)
-        self._lock = threading.Lock()
-        self._unsynced = 0
-        self._last_seq: dict[str, int] = {}
-        self._damaged: str | None = None
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            self._repair_and_scan_locked()
-
-    # -- scanning ------------------------------------------------------
-
-    def _scan_lines(self) -> tuple[list[WalRecord], int, str | None]:
-        """Parse the file: (records, valid_byte_length, damage)."""
-        try:
-            blob = self.path.read_bytes()
-        except FileNotFoundError:
-            return [], 0, None
-        except OSError as exc:
-            raise StoreError(f"cannot read WAL {self.path}: {exc}") from exc
-        records: list[WalRecord] = []
-        offset = 0
-        damage: str | None = None
-        while offset < len(blob):
-            newline = blob.find(b"\n", offset)
-            line = blob[offset : newline if newline >= 0 else len(blob)]
-            try:
-                records.append(WalRecord.from_json_line(line.decode()))
-            except (StoreError, UnicodeDecodeError):
-                tail_bytes = len(blob) - offset
-                damage = (
-                    f"WAL {self.path}: unparseable record at byte {offset} "
-                    f"({tail_bytes} trailing byte(s) dropped)"
-                )
-                break
-            if newline < 0:
-                # Complete JSON but no newline: the fsync raced the crash.
-                offset = len(blob)
-                break
-            offset = newline + 1
-        return records, offset, damage
-
-    def _repair_and_scan_locked(self) -> None:
-        """Truncate a torn tail so new appends start on a clean line.
-
-        Truncation here never drops a *complete* record — only the bytes
-        past the last parseable line; whether those bytes were an
-        acknowledged batch is recovery's question, and a torn final line
-        by construction never finished its append (so was never
-        acknowledged).
-
-        Mid-file rot — an unparseable region with complete records
-        *after* it — is a different animal: those trailing records may be
-        acknowledged batches, so auto-truncating them would destroy data
-        a crash never touched.  Such a file is left byte-identical,
-        reads report the damage (recovery's corrupt-tail policy decides
-        what to do with the valid prefix), and writes are refused until
-        an operator intervenes.
-        """
-        records, valid_bytes, damage = self._scan_lines()
-        self._damaged = None
-        if damage is not None:
-            if self._complete_records_past(valid_bytes):
-                self._damaged = damage
-            else:
-                with open(self.path, "r+b") as fh:
-                    fh.truncate(valid_bytes)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-        self._last_seq = {}
-        for record in records:
-            self._last_seq[record.session_id] = max(
-                self._last_seq.get(record.session_id, 0), record.seq
-            )
-
-    def _complete_records_past(self, damage_offset: int) -> bool:
-        """Whether any *parseable* record line follows the damaged bytes.
-
-        Distinguishes a torn tail (nothing valid after — safe to
-        truncate) from mid-file rot (valid records stranded after the
-        damage — never auto-truncate).
-        """
-        blob = self.path.read_bytes()
-        offset = blob.find(b"\n", damage_offset)
-        while 0 <= offset < len(blob) - 1:
-            offset += 1
-            newline = blob.find(b"\n", offset)
-            line = blob[offset : newline if newline >= 0 else len(blob)]
-            try:
-                WalRecord.from_json_line(line.decode())
-                return True
-            except (StoreError, UnicodeDecodeError):
-                pass
-            if newline < 0:
-                break
-            offset = newline
-        return False
-
-    def _refuse_if_damaged(self) -> None:
-        if self._damaged is not None:
-            raise StoreError(
-                f"refusing to write: {self._damaged}; complete records "
-                "follow the damage, repair the file by hand first"
-            )
-
-    # -- FeedbackLogStore-shaped operations ----------------------------
-
-    def append(
-        self,
-        session_id: str,
-        items: list[dict],
-        kind: str = "feedback",
-        ref: int | None = None,
-        key: str | None = None,
-    ) -> WalRecord:
-        validate_session_id(session_id)
-        with self._lock:
-            self._refuse_if_damaged()
-            seq = self._last_seq.get(session_id, 0) + 1
-            record = WalRecord.make(session_id, seq, kind, items, ref, key)
-            line = record.to_json_line() + "\n"
-            try:
-                with open(self.path, "ab") as fh:
-                    fh.write(line.encode())
-                    if self.fsync == "off":
-                        pass
-                    else:
-                        fh.flush()
-                        if self.fsync == "always":
-                            os.fsync(fh.fileno())
-                        else:  # batch
-                            self._unsynced += 1
-                            if self._unsynced >= self.batch_every:
-                                os.fsync(fh.fileno())
-                                self._unsynced = 0
-            except OSError as exc:
-                raise StoreError(
-                    f"cannot append to WAL {self.path}: {exc}"
-                ) from exc
-            self._last_seq[session_id] = seq
-            return record
-
-    def rollback(self, session_id: str, seq: int) -> None:
-        """Annul record ``seq`` by appending an ``abort`` marker.
-
-        Appending (rather than truncating) keeps the file strictly
-        append-only, so a concurrent reader never sees bytes disappear.
-        """
-        self.append(session_id, [], kind="abort", ref=int(seq))
-
-    def records(
-        self, session_id: str | None = None, after_seq: int = 0
-    ) -> tuple[list[WalRecord], str | None]:
-        """Durable records (optionally one session's), plus damage info."""
-        records, _, damage = self._scan_lines()
-        if session_id is not None:
-            records = [r for r in records if r.session_id == session_id]
-        if after_seq:
-            records = [r for r in records if r.seq > after_seq]
-        return records, damage
-
-    def last_seq(self, session_id: str) -> int:
-        with self._lock:
-            return self._last_seq.get(session_id, 0)
-
-    def session_ids(self) -> list[str]:
-        """Sessions with at least one logged record, sorted."""
-        records, _, _ = self._scan_lines()
-        return sorted({r.session_id for r in records})
-
-    def prune(
-        self, session_id: str, up_to_seq: int, marker: bool = True
-    ) -> int:
-        """Rewrite the file without the folded records, atomically.
-
-        The rewrite goes through a temp file + fsync + ``os.replace`` so
-        a crash mid-compaction leaves either the old complete log or the
-        new complete log, never a torn hybrid.
-
-        With ``marker`` (the default) the rewrite keeps the session's
-        sequence floor durable via a ``prune`` marker record at
-        ``up_to_seq`` whenever no surviving record carries it: sequence
-        numbers must stay monotonic past a fold, or a fresh process
-        scanning the shortened log would reissue numbers at or below the
-        checkpoint's ``wal_seq`` — and recovery, which only replays
-        ``seq > wal_seq``, would silently skip those batches.  Pass
-        ``marker=False`` when deleting a session outright.
-
-        Returns the number of *feedback-bearing* records dropped (markers
-        do not count).
-        """
-        with self._lock:
-            # A rewrite in the mid-file-rot state would silently drop the
-            # complete records stranded past the damage.
-            self._refuse_if_damaged()
-            records, _, _ = self._scan_lines()
-            keep = [
-                r
-                for r in records
-                if r.session_id != session_id
-                or r.seq > up_to_seq
-                # an existing marker already at the new floor stays put,
-                # so repeated folds at the same seq are no-op rewrites
-                or (marker and r.kind == "prune" and r.seq == up_to_seq)
-            ]
-            removed = [r for r in records if r not in keep]
-            dropped = sum(1 for r in removed if r.kind != "prune")
-            kept_max = max(
-                (r.seq for r in keep if r.session_id == session_id),
-                default=0,
-            )
-            need_marker = marker and up_to_seq > 0 and kept_max < up_to_seq
-            if not removed and not need_marker:
-                return 0
-            out = (
-                [WalRecord.make(session_id, up_to_seq, kind="prune")]
-                if need_marker
-                else []
-            ) + keep
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            try:
-                with open(tmp, "wb") as fh:
-                    for record in out:
-                        fh.write((record.to_json_line() + "\n").encode())
-                    fh.flush()
-                    if self.fsync != "off":
-                        os.fsync(fh.fileno())
-                os.replace(tmp, self.path)
-                if self.fsync != "off":
-                    _fsync_dir(self.path.parent)
-            except OSError as exc:
-                raise StoreError(
-                    f"cannot compact WAL {self.path}: {exc}"
-                ) from exc
-            self._unsynced = 0
-            if need_marker:
-                self._last_seq[session_id] = max(
-                    self._last_seq.get(session_id, 0), up_to_seq
-                )
-            return dropped
-
-
-class WalDirectoryStore(DirectoryStore, FeedbackLogStore):
-    """Directory checkpoints plus a shared JSONL write-ahead log.
-
-    The file layout is the familiar ``<session_id>.json`` checkpoint per
-    session with one ``feedback.wal`` JSONL log alongside.  Durability
-    semantics match :class:`~repro.store.sqlite.SQLiteStore` (minus the
-    transactional checkpoint+prune); it exists so the WAL machinery is
-    usable — and benchmarkable — without SQLite in the picture.
-    """
-
-    def __init__(
-        self,
-        root: str | Path,
-        fsync: str = "batch",
-        batch_every: int = 32,
-    ) -> None:
-        super().__init__(root)
-        self.wal = JsonlWal(
-            self.root / "feedback.wal", fsync=fsync, batch_every=batch_every
-        )
-
-    def append_feedback(
-        self,
-        session_id: str,
-        items: list[dict],
-        kind: str = "feedback",
-        ref: int | None = None,
-        key: str | None = None,
-    ) -> WalRecord:
-        return self.wal.append(session_id, items, kind=kind, ref=ref, key=key)
-
-    def rollback_feedback(self, session_id: str, seq: int) -> None:
-        self.wal.rollback(session_id, seq)
-
-    def feedback_tail(
-        self, session_id: str, after_seq: int = 0
-    ) -> tuple[list[WalRecord], str | None]:
-        return self.wal.records(session_id, after_seq=after_seq)
-
-    def last_seq(self, session_id: str) -> int:
-        return self.wal.last_seq(session_id)
-
-    def prune_feedback(self, session_id: str, up_to_seq: int) -> int:
-        return self.wal.prune(session_id, up_to_seq)
-
-    def list_ids(self) -> list[str]:
-        """Checkpointed sessions plus any with only WAL records."""
-        ids = set(super().list_ids())
-        ids.update(self.wal.session_ids())
-        return sorted(ids)
-
-    def delete(self, session_id: str) -> None:
-        super().delete(session_id)
-        self.wal.prune(
-            session_id,
-            up_to_seq=self.wal.last_seq(session_id),
-            marker=False,
-        )

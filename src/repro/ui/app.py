@@ -161,8 +161,7 @@ class SiderApp:
 
     def select_rows(self, rows) -> np.ndarray:
         """Directly select explicit row indices (e.g. a dataset class)."""
-        arr = np.asarray(rows, dtype=np.intp)
-        self.state.set_selection(arr, self.session.data.shape[0])
+        self.state.set_selection(rows, self.session.data.shape[0])
         return self.state.selection
 
     def save_selection(self, name: str) -> None:

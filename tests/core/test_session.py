@@ -5,6 +5,12 @@ import pytest
 
 from repro.core.session import ExplorationSession
 from repro.datasets.paper import three_d_clusters
+from repro.feedback import (
+    ClusterFeedback,
+    CovarianceFeedback,
+    MarginFeedback,
+    ViewSelectionFeedback,
+)
 
 
 class TestSessionLoop:
@@ -27,7 +33,7 @@ class TestSessionLoop:
         data, labels = two_cluster_data
         session = ExplorationSession(data)
         v1 = session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 0))
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 0)))
         v2 = session.current_view()
         assert v1 is not v2
         assert len(session.history) == 2
@@ -36,8 +42,8 @@ class TestSessionLoop:
         data, labels = two_cluster_data
         session = ExplorationSession(data)
         before = float(np.max(np.abs(session.current_view().scores)))
-        session.mark_cluster(np.flatnonzero(labels == 0))
-        session.mark_cluster(np.flatnonzero(labels == 1))
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 0)))
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 1)))
         after = float(np.max(np.abs(session.current_view().scores)))
         assert after < 0.2 * before
 
@@ -45,15 +51,17 @@ class TestSessionLoop:
         data, labels = two_cluster_data
         session = ExplorationSession(data)
         assert not session.is_explained()
-        session.mark_cluster(np.flatnonzero(labels == 0))
-        session.mark_cluster(np.flatnonzero(labels == 1))
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 0)))
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 1)))
         assert session.is_explained(score_threshold=0.05)
 
     def test_history_records_feedback_labels(self, two_cluster_data):
         data, labels = two_cluster_data
         session = ExplorationSession(data)
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 0), label="left-blob")
+        session.apply(
+            ClusterFeedback(rows=np.flatnonzero(labels == 0), label="left-blob")
+        )
         assert "left-blob" in session.history[0].constraints_added
 
     def test_run_steps_returns_one_view_per_marking(self, two_cluster_data):
@@ -69,13 +77,13 @@ class TestSessionLoop:
         data, labels = two_cluster_data
         session = ExplorationSession(data)
         session.current_view()
-        session.mark_view_selection(np.flatnonzero(labels == 0))
+        session.apply(ViewSelectionFeedback(rows=np.flatnonzero(labels == 0)))
         assert session.model.n_constraints == 4
 
-    def test_assume_margins_and_covariance(self, gaussian_data):
+    def test_margin_and_covariance_feedback(self, gaussian_data):
         session = ExplorationSession(gaussian_data)
-        session.assume_margins()
-        session.assume_overall_covariance()
+        session.apply(MarginFeedback())
+        session.apply(CovarianceFeedback())
         assert session.model.n_constraints == 4 * gaussian_data.shape[1]
         # Both constraint families must fit without issue.
         view = session.current_view()

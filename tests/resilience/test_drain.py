@@ -80,6 +80,33 @@ class TestAdminDrainRoute:
         assert status == 202
         assert payload["initiated"] is False
 
+    def test_report_is_recorded_before_the_serve_loop_stops(
+        self, two_cluster_data, tmp_path
+    ):
+        """Once the hook stops the serve loop the process may exit at
+        once, so the report must already be on ``last_drain`` and in the
+        event log when the hook runs."""
+        from repro import obs
+
+        api = self._api(two_cluster_data[0])
+        log = tmp_path / "events.jsonl"
+        seen_by_hook = []
+
+        def hook():
+            events = [json.loads(line) for line in log.read_text().splitlines()]
+            seen_by_hook.append((api.last_drain, [e.get("event") for e in events]))
+
+        api.shutdown_hook = hook
+        obs.configure(event_log=str(log))
+        try:
+            assert api.dispatch("POST", "/v1/admin/drain")[0] == 202
+            _wait_for(lambda: seen_by_hook, message="shutdown hook")
+        finally:
+            obs.disable()
+        report, events = seen_by_hook[0]
+        assert report is not None and report["checkpointed"] == 1
+        assert "drain" in events
+
     def test_drain_budget_validation(self, two_cluster_data):
         api = self._api(two_cluster_data[0])
         status, payload = api.dispatch(
@@ -218,7 +245,7 @@ def _read_until(worker, needle, timeout=60.0):
 
 def test_sigterm_drains_checkpoints_and_restart_resumes(tmp_path):
     """SIGTERM mid-session: drain, exit 0, successor serves the session."""
-    store_dir = tmp_path / "sessions"
+    store_url = f"sqlite:{tmp_path / 'sessions.db'}"
     env = {
         "PYTHONPATH": _REPO_SRC,
         "PATH": "/usr/bin:/bin:/usr/local/bin",
@@ -226,7 +253,7 @@ def test_sigterm_drains_checkpoints_and_restart_resumes(tmp_path):
     }
     argv = [
         sys.executable, "-m", "repro", "serve",
-        "--port", "0", "--store-dir", str(store_dir),
+        "--port", "0", "--store", store_url,
         "--drain-budget", "5",
     ]
     worker = subprocess.Popen(

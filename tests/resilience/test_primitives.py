@@ -7,6 +7,7 @@ and the chaos registry (spec grammar, firing discipline, event log).
 
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -433,32 +434,26 @@ class TestRunDrain:
         )
         manager.create("wl", session_id="drain-a", seed=0)
         ctrl = AdmissionController()
-        called = []
-        report = run_drain(
-            ctrl, manager, budget_seconds=1.0,
-            shutdown=lambda: called.append(True),
-        )
+        report = run_drain(ctrl, manager, budget_seconds=1.0)
         assert report["initiated"] is True
         assert report["idle"] is True
         assert report["abandoned_inflight"] == 0
         assert report["checkpointed"] == 1
-        assert called == [True]
         assert ctrl.draining
         with pytest.raises(DrainingError):
             with ctrl.admit():
                 pass  # pragma: no cover
 
-    def test_drain_shutdown_error_is_reported_not_raised(self, two_cluster_data):
-        from repro.service.manager import SessionManager
-
-        data, _ = two_cluster_data
-        manager = SessionManager({"wl": data})
+    def test_drain_shutdown_error_is_reported_not_raised(self):
+        from repro.resilience.drain import publish_drain_then_stop
 
         def broken_shutdown():
             raise RuntimeError("socket already closed")
 
-        report = run_drain(
-            AdmissionController(), manager, budget_seconds=0.1,
-            shutdown=broken_shutdown,
+        front_door = SimpleNamespace(
+            last_drain=None, shutdown_hook=broken_shutdown
         )
+        report = {"checkpointed": 0}
+        publish_drain_then_stop(front_door, report)
+        assert front_door.last_drain is report
         assert "socket already closed" in report["shutdown_error"]

@@ -7,7 +7,8 @@ from repro.service.api import ServiceAPI
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.manager import SessionManager
 from repro.service.server import start_background
-from repro.service.store import DirectoryStore, MemoryStore
+from repro.service.store import MemoryStore
+from repro.store import SQLiteStore
 
 
 @pytest.fixture
@@ -20,18 +21,18 @@ class TestDispatch:
     """Route-level behaviour, no sockets involved."""
 
     def test_health_and_datasets(self, api):
-        assert api.dispatch("GET", "/health") == (200, {"status": "ok"})
-        assert api.dispatch("GET", "/datasets")[1] == {"datasets": ["two"]}
+        assert api.dispatch("GET", "/v1/health") == (200, {"status": "ok"})
+        assert api.dispatch("GET", "/v1/datasets")[1] == {"datasets": ["two"]}
 
     def test_create_view_constrain_cycle(self, api, two_cluster_data):
         _, labels = two_cluster_data
         status, created = api.dispatch(
-            "POST", "/sessions", body={"dataset": "two"}
+            "POST", "/v1/sessions", body={"dataset": "two"}
         )
         assert status == 201
         sid = created["session_id"]
 
-        status, view = api.dispatch("GET", f"/sessions/{sid}/view")
+        status, view = api.dispatch("GET", f"/v1/sessions/{sid}/view")
         assert status == 200
         assert len(view["axes"]) == 2
         assert view["iteration"] == 0
@@ -39,57 +40,59 @@ class TestDispatch:
         rows = [int(r) for r in np.flatnonzero(labels == 0)]
         status, stats = api.dispatch(
             "POST",
-            f"/sessions/{sid}/constraints",
-            body={"kind": "cluster", "rows": rows, "label": "left"},
+            f"/v1/sessions/{sid}/feedback",
+            body={"feedback": [{"kind": "cluster", "rows": rows, "label": "left"}]},
         )
         assert status == 200
         assert stats["feedback"] == ["left"]
 
-        status, view2 = api.dispatch("GET", f"/sessions/{sid}/view")
+        status, view2 = api.dispatch("GET", f"/v1/sessions/{sid}/view")
         assert view2["top_score"] != view["top_score"]
 
-        status, undone = api.dispatch("POST", f"/sessions/{sid}/undo")
+        status, undone = api.dispatch("POST", f"/v1/sessions/{sid}/undo")
         assert (status, undone["undone"]) == (200, "left")
 
     def test_unknown_session_404(self, api):
-        assert api.dispatch("GET", "/sessions/missing/view")[0] == 404
-        assert api.dispatch("DELETE", "/sessions/missing")[0] == 404
+        assert api.dispatch("GET", "/v1/sessions/missing/view")[0] == 404
+        assert api.dispatch("DELETE", "/v1/sessions/missing")[0] == 404
 
     def test_unknown_dataset_404(self, api):
         status, payload = api.dispatch(
-            "POST", "/sessions", body={"dataset": "nope"}
+            "POST", "/v1/sessions", body={"dataset": "nope"}
         )
         assert status == 404
         assert "unknown dataset" in payload["error"]
 
     def test_bad_requests_400(self, api):
-        sid = api.dispatch("POST", "/sessions", body={"dataset": "two"})[1][
+        sid = api.dispatch("POST", "/v1/sessions", body={"dataset": "two"})[1][
             "session_id"
         ]
-        assert api.dispatch("POST", "/sessions", body={})[0] == 400
+        assert api.dispatch("POST", "/v1/sessions", body={})[0] == 400
         assert (
             api.dispatch(
-                "POST", "/sessions", body={"dataset": "two", "objective": "x"}
-            )[0]
-            == 400
-        )
-        assert (
-            api.dispatch(
-                "POST", f"/sessions/{sid}/constraints", body={"rows": []}
+                "POST", "/v1/sessions", body={"dataset": "two", "objective": "x"}
             )[0]
             == 400
         )
         assert (
             api.dispatch(
                 "POST",
-                f"/sessions/{sid}/constraints",
-                body={"kind": "bogus", "rows": [1]},
+                f"/v1/sessions/{sid}/feedback",
+                body={"feedback": [{"kind": "cluster", "rows": []}]},
             )[0]
             == 400
         )
         assert (
             api.dispatch(
-                "GET", f"/sessions/{sid}/view", query={"objective": "bad"}
+                "POST",
+                f"/v1/sessions/{sid}/feedback",
+                body={"feedback": [{"kind": "bogus", "rows": [1]}]},
+            )[0]
+            == 400
+        )
+        assert (
+            api.dispatch(
+                "GET", f"/v1/sessions/{sid}/view", query={"objective": "bad"}
             )[0]
             == 400
         )
@@ -98,24 +101,27 @@ class TestDispatch:
         # JSON parses 1e999 as float('inf'); int() then raises
         # OverflowError, which must surface as a 400 JSON error rather
         # than escaping the dispatcher.
-        sid = api.dispatch("POST", "/sessions", body={"dataset": "two"})[1][
+        sid = api.dispatch("POST", "/v1/sessions", body={"dataset": "two"})[1][
             "session_id"
         ]
         status, payload = api.dispatch(
             "POST",
-            f"/sessions/{sid}/constraints",
-            body={"kind": "cluster", "rows": [float("inf")]},
+            f"/v1/sessions/{sid}/feedback",
+            body={"feedback": [{"kind": "cluster", "rows": [float("inf")]}]},
         )
         assert status == 400
         assert "error" in payload
 
     def test_duplicate_session_409(self, api):
         body = {"dataset": "two", "session_id": "dup"}
-        assert api.dispatch("POST", "/sessions", body=body)[0] == 201
-        assert api.dispatch("POST", "/sessions", body=body)[0] == 409
+        assert api.dispatch("POST", "/v1/sessions", body=body)[0] == 201
+        assert api.dispatch("POST", "/v1/sessions", body=body)[0] == 409
 
     def test_unknown_route_404(self, api):
-        assert api.dispatch("GET", "/bogus")[0] == 404
+        assert api.dispatch("GET", "/v1/bogus")[0] == 404
+        assert api.dispatch("GET", "/v1/sessions/a/b/c")[0] == 404
+        # Nothing is served outside /v1, whatever the method.
+        assert api.dispatch("GET", "/health")[0] == 404
         assert api.dispatch("PUT", "/sessions")[0] == 404
         assert api.dispatch("GET", "/sessions/a/b/c")[0] == 404
 
@@ -128,12 +134,10 @@ class TestLiveServer:
         self, two_cluster_data, tmp_path
     ):
         data, labels = two_cluster_data
-        store_dir = tmp_path / "checkpoints"
+        db_path = tmp_path / "sessions.db"
         rows = [int(r) for r in np.flatnonzero(labels == 0)]
 
-        manager = SessionManager(
-            {"two": data}, store=DirectoryStore(store_dir)
-        )
+        manager = SessionManager({"two": data}, store=SQLiteStore(db_path))
         server = start_background(ServiceAPI(manager))
         try:
             client = ServiceClient(server.base_url)
@@ -153,8 +157,8 @@ class TestLiveServer:
         finally:
             server.stop()
 
-        # "Server restart": a brand-new manager over the same store dir.
-        fresh = SessionManager({"two": data}, store=DirectoryStore(store_dir))
+        # "Server restart": a brand-new manager over the same store.
+        fresh = SessionManager({"two": data}, store=SQLiteStore(db_path))
         server2 = start_background(ServiceAPI(fresh))
         try:
             client2 = ServiceClient(server2.base_url)
@@ -224,7 +228,7 @@ class TestLiveServer:
         server = start_background(SessionManager({"two": data}))
         try:
             request = urllib.request.Request(
-                server.base_url + "/sessions",
+                server.base_url + "/v1/sessions",
                 data=b"{not json",
                 method="POST",
             )
@@ -233,5 +237,34 @@ class TestLiveServer:
             assert err.value.code == 400
             payload = json.loads(err.value.read())
             assert "not JSON" in payload["error"]
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_invalid_content_length_is_a_typed_400(
+        self, two_cluster_data, length
+    ):
+        import json
+        import socket
+
+        data, _ = two_cluster_data
+        server = start_background(SessionManager({"two": data}))
+        try:
+            request = (
+                "POST /v1/sessions HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {length}\r\n\r\n"
+            )
+            with socket.create_connection(
+                server.server_address[:2], timeout=10
+            ) as sock:
+                sock.sendall(request.encode())
+                reply = b""
+                while chunk := sock.recv(65536):  # server closes after it
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request"
+            error = json.loads(body)["error"]
+            assert f"invalid Content-Length header: {length!r}" == error
+            assert server.api.manager.stats()["created"] == 0
         finally:
             server.stop()

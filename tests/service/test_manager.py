@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.feedback import ClusterFeedback, ViewSelectionFeedback
 from repro.service.cache import SolveCache
 from repro.service.manager import (
     SessionExistsError,
@@ -81,8 +82,8 @@ class TestLifecycle:
         _, labels = two_cluster_data
         sid = manager.create("two")
         manager.view(sid)
-        stats = manager.mark_cluster(
-            sid, np.flatnonzero(labels == 0), label="left"
+        stats = manager.apply_feedback(
+            sid, [ClusterFeedback(rows=np.flatnonzero(labels == 0), label="left")]
         )
         assert stats["feedback"] == ["left"]
         assert stats["n_constraints"] > 0
@@ -92,7 +93,9 @@ class TestLifecycle:
 
     def test_view_selection_feedback(self, manager):
         sid = manager.create("two")
-        stats = manager.mark_view_selection(sid, range(10), label="sel")
+        stats = manager.apply_feedback(
+            sid, [ViewSelectionFeedback(rows=range(10), label="sel")]
+        )
         assert stats["feedback"] == ["sel"]
 
 
@@ -101,12 +104,12 @@ class TestCacheIntegration:
         _, labels = two_cluster_data
         rows = np.flatnonzero(labels == 0)
         a = manager.create("two")
-        manager.mark_cluster(a, rows, label="left")
+        manager.apply_feedback(a, [ClusterFeedback(rows=rows, label="left")])
         _, meta_a = manager.view(a)
         assert not meta_a["cache_hit"]
 
         b = manager.create("two")
-        manager.mark_cluster(b, rows, label="left")
+        manager.apply_feedback(b, [ClusterFeedback(rows=rows, label="left")])
         view_b, meta_b = manager.view(b)
         assert meta_b["cache_hit"]
         view_a, _ = manager.view(a)
@@ -126,12 +129,12 @@ class TestCacheIntegration:
         rows = np.flatnonzero(labels == 0)
         m1 = SessionManager({"two": data}, cache=shared)
         a = m1.create("two")
-        m1.mark_cluster(a, rows)
+        m1.apply_feedback(a, [ClusterFeedback(rows=rows)])
         m1.view(a)
 
         m2 = SessionManager({"two": data}, cache=shared)
         b = m2.create("two")
-        m2.mark_cluster(b, rows)
+        m2.apply_feedback(b, [ClusterFeedback(rows=rows)])
         _, meta = m2.view(b)
         assert meta["cache_hit"]
 
@@ -142,7 +145,9 @@ class TestEvictionAndExpiry:
         store = MemoryStore()
         manager = SessionManager({"two": data}, store=store, max_sessions=1)
         first = manager.create("two")
-        manager.mark_cluster(first, np.flatnonzero(labels == 0), label="left")
+        manager.apply_feedback(
+            first, [ClusterFeedback(rows=np.flatnonzero(labels == 0), label="left")]
+        )
         expected, _ = manager.view(first)
 
         second = manager.create("two")  # evicts `first` to the store
@@ -242,7 +247,9 @@ class TestCheckpointing:
         m1 = SessionManager({"two": data}, store=store)
         sid = m1.create("two")
         m1.view(sid)
-        m1.mark_cluster(sid, np.flatnonzero(labels == 0), label="left")
+        m1.apply_feedback(
+            sid, [ClusterFeedback(rows=np.flatnonzero(labels == 0), label="left")]
+        )
         expected, _ = m1.view(sid)
         m1.checkpoint(sid)
 
@@ -282,7 +289,7 @@ class TestConcurrency:
             try:
                 for _ in range(5):
                     manager.view(sid)
-                    manager.mark_cluster(sid, rows)
+                    manager.apply_feedback(sid, [ClusterFeedback(rows=rows)])
                     manager.view(sid)
                     manager.undo(sid)
             except Exception as exc:  # pragma: no cover - failure path

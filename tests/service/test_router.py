@@ -163,9 +163,25 @@ class TestRouting:
 
 
 class TestLocalRoutes:
+    def test_nothing_is_served_outside_v1(self, fleet):
+        router, pool, _managers = fleet
+        calls = [worker.calls for worker in pool.workers()]
+        for method, path in [
+            ("GET", "/health"),
+            ("GET", "/stats"),
+            ("GET", "/workers"),
+            ("GET", "/sessions"),
+            ("POST", "/sessions"),
+            ("POST", "/admin/drain"),
+        ]:
+            assert router.dispatch(method, path)[0] == 404, (method, path)
+        # Answered at the door: no worker saw an RPC, nothing drained.
+        assert [worker.calls for worker in pool.workers()] == calls
+        assert not router.admission.draining
+
     def test_health_reports_fleet_liveness(self, fleet):
         router, _pool, _managers = fleet
-        status, payload = router.dispatch("GET", "/health")
+        status, payload = router.dispatch("GET", "/v1/health")
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["workers"] == {"alive": 3, "total": 3}
@@ -201,7 +217,7 @@ class TestLocalRoutes:
 
     def test_metrics_disabled_renders_placeholder(self, fleet):
         router, _pool, _managers = fleet
-        status, text = router.dispatch("GET", "/metrics")
+        status, text = router.dispatch("GET", "/v1/metrics")
         assert status == 200
         assert "observability disabled" in text
         status, payload = router.dispatch(
@@ -245,7 +261,7 @@ class TestAdmissionAndDrain:
                 assert payload["kind"] == "overloaded"
                 assert payload["retry_after"] > 0
                 # Local routes stay reachable while shedding.
-                assert router.dispatch("GET", "/health")[0] == 200
+                assert router.dispatch("GET", "/v1/health")[0] == 200
             assert router.dispatch(
                 "POST", "/v1/sessions", body={"dataset": "demo"}
             )[0] == 201
@@ -269,7 +285,7 @@ class TestAdmissionAndDrain:
 
     def test_admin_drain_endpoint_accepts(self, fleet):
         router, _pool, _managers = fleet
-        status, payload = router.dispatch("POST", "/admin/drain", body={})
+        status, payload = router.dispatch("POST", "/v1/admin/drain", body={})
         assert status == 202
         assert payload["draining"] is True
 

@@ -76,6 +76,15 @@ class TestFraming:
         a.close()
         b.close()
 
+    def test_non_utf8_body_raises_rpc_error(self):
+        a, b = socket.socketpair()
+        body = b"\x80abc"
+        a.sendall(struct.pack("!I", len(body)) + body)
+        with pytest.raises(RpcError, match="not JSON"):
+            recv_frame(b)
+        a.close()
+        b.close()
+
 
 class TestClientServer:
     def test_call_round_trip(self, socket_path):
@@ -169,3 +178,53 @@ class TestClientServer:
             with pytest.raises(RpcConnectionClosed):
                 client.call({"n": 2}, timeout=10)
         client.close()
+
+    def test_server_drops_a_non_utf8_frame_quietly(
+        self, socket_path, monkeypatch
+    ):
+        crashed = []
+        monkeypatch.setattr(threading, "excepthook", crashed.append)
+        server = _echo_server(socket_path)
+        try:
+            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            raw.connect(socket_path)
+            raw.sendall(struct.pack("!I", 4) + b"\x80abc")
+            raw.settimeout(10)
+            assert raw.recv(1) == b""  # the corrupt stream is dropped
+            raw.close()
+            # ...without a thread traceback, and the server keeps serving.
+            client = RpcClient(socket_path)
+            assert client.call({"op": "ping"}) == {"echo": {"op": "ping"}}
+            client.close()
+        finally:
+            server.close()
+        assert crashed == []
+
+    def test_worker_call_closes_a_connection_that_replied_garbage(
+        self, socket_path
+    ):
+        from repro.service.router import WorkerDiedError, _BaseWorker
+
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(socket_path)
+        listener.listen(1)
+
+        def reply_non_utf8():
+            conn, _ = listener.accept()
+            with conn:
+                recv_frame(conn)
+                conn.sendall(struct.pack("!I", 4) + b"\x80abc")
+                conn.recv(1)  # hold the socket open until the peer closes
+
+        peer = threading.Thread(target=reply_non_utf8, daemon=True)
+        peer.start()
+        worker = _BaseWorker(0, socket_path)
+        try:
+            with pytest.raises(WorkerDiedError, match="not JSON"):
+                worker.call({"op": "ping"}, timeout=10)
+            assert worker.failures == 1
+            assert worker._clients == []  # not returned to the pool...
+            peer.join(timeout=10)
+            assert not peer.is_alive()  # ...and closed, so the peer saw EOF
+        finally:
+            listener.close()

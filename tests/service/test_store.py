@@ -1,25 +1,29 @@
-"""Tests for the session checkpoint stores (memory and on-disk)."""
+"""The session-store contract, run on the in-process and durable backends."""
 
 import numpy as np
 import pytest
 
 from repro.core.session import ExplorationSession
+from repro.feedback import ClusterFeedback
 from repro.io import session_from_payload, session_to_payload
 from repro.service.store import (
-    DirectoryStore,
     MemoryStore,
     SessionNotFoundError,
     StoreError,
     validate_session_id,
 )
+from repro.store import SQLiteStore
 
 
-@pytest.fixture(params=["memory", "directory"])
+@pytest.fixture(params=["memory", "sqlite"])
 def store(request, tmp_path):
     """Each test runs against both backends."""
     if request.param == "memory":
-        return MemoryStore()
-    return DirectoryStore(tmp_path / "checkpoints")
+        yield MemoryStore()
+        return
+    store = SQLiteStore(tmp_path / "sessions.db")
+    yield store
+    store.close()
 
 
 class TestSessionIds:
@@ -72,27 +76,15 @@ class TestStoreBasics:
             store.put("s", {"bad": np.float64})
 
 
-class TestDirectoryStore:
-    def test_corrupt_file_raises_store_error(self, tmp_path):
-        store = DirectoryStore(tmp_path)
-        (tmp_path / "bad.json").write_text("{not json")
-        with pytest.raises(StoreError):
-            store.get("bad")
-
-    def test_survives_reopen(self, tmp_path):
-        DirectoryStore(tmp_path).put("s", {"v": 7})
-        assert DirectoryStore(tmp_path).get("s") == {"v": 7}
-
-
 class TestSessionRoundtripThroughStore:
     """Save -> store -> resume keeps the full knowledge state (satellite)."""
 
     def _explored_session(self, data, labels):
         session = ExplorationSession(data, objective="pca", seed=0)
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 0), label="left")
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 0), label="left"))
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 1), label="right")
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 1), label="right"))
         return session
 
     def test_constraints_and_undo_history_survive(
@@ -124,36 +116,3 @@ class TestSessionRoundtripThroughStore:
         np.testing.assert_allclose(
             np.abs(resumed_view.axes), np.abs(expected.axes), atol=1e-6
         )
-
-
-class TestDirectoryStoreDurability:
-    """Checkpoint writes are crash-safe: fsync file, replace, fsync dir."""
-
-    def test_put_fsyncs_tmp_file_before_replace(self, tmp_path, monkeypatch):
-        import os as _os
-
-        events = []
-        real_fsync = _os.fsync
-        real_replace = _os.replace
-        monkeypatch.setattr(
-            _os, "fsync",
-            lambda fd: (events.append("fsync"), real_fsync(fd))[1],
-        )
-        monkeypatch.setattr(
-            _os, "replace",
-            lambda a, b: (events.append("replace"), real_replace(a, b))[1],
-        )
-        DirectoryStore(tmp_path / "ckpt").put("s", {"v": 1})
-        # File contents are durable before the rename publishes them, and
-        # the directory entry is durable after.
-        assert "replace" in events
-        replace_at = events.index("replace")
-        assert "fsync" in events[:replace_at]
-        assert "fsync" in events[replace_at + 1:]
-
-    def test_no_tmp_file_left_behind(self, tmp_path):
-        root = tmp_path / "ckpt"
-        store = DirectoryStore(root)
-        store.put("s", {"v": 1})
-        leftovers = [p.name for p in root.iterdir() if ".tmp" in p.name]
-        assert leftovers == []

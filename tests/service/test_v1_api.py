@@ -3,8 +3,8 @@
 Covers: objective-registry discovery and custom objectives end-to-end
 over HTTP, the batch feedback endpoint (mixed kinds, one fit), 405
 semantics on /v1 routes, feature-name propagation into view payloads,
-and checkpoint/resume of the typed feedback log — all while the legacy
-unversioned routes stay available as aliases.
+and checkpoint/resume of the typed feedback log — and that nothing is
+served outside /v1.
 """
 
 import numpy as np
@@ -75,11 +75,21 @@ def custom_objective():
 
 
 class TestVersionedRoutes:
-    def test_v1_aliases_match_unversioned(self, api):
-        assert api.dispatch("GET", "/v1/health") == api.dispatch("GET", "/health")
-        assert (
-            api.dispatch("GET", "/v1/datasets") == api.dispatch("GET", "/datasets")
-        )
+    def test_unversioned_paths_answer_404(self, api):
+        assert api.dispatch("GET", "/v1/health") == (200, {"status": "ok"})
+        for method, path in [
+            ("GET", "/health"),
+            ("GET", "/datasets"),
+            ("POST", "/sessions"),
+            ("GET", "/sessions"),
+            ("POST", "/admin/drain"),
+        ]:
+            status, payload = api.dispatch(method, path, body={"dataset": "two"})
+            assert status == 404, (method, path)
+            assert payload == {"error": f"no route {method} {path}"}
+        # Nothing was created or drained through the unversioned paths.
+        assert api.dispatch("GET", "/v1/sessions")[1] == {"sessions": []}
+        assert not api.admission.draining
 
     def test_full_loop_under_v1(self, api, two_cluster_data):
         _, labels = two_cluster_data
@@ -108,19 +118,21 @@ class TestVersionedRoutes:
         assert {"pca", "ica", "kurtosis", "axis"} <= set(names)
         assert all(row["description"] for row in payload["objectives"])
 
-    def test_legacy_routes_still_work(self, api, two_cluster_data):
+    def test_constraints_route_is_gone(self, api, two_cluster_data):
         _, labels = two_cluster_data
-        sid = api.dispatch("POST", "/sessions", body={"dataset": "two"})[1][
+        sid = api.dispatch("POST", "/v1/sessions", body={"dataset": "two"})[1][
             "session_id"
         ]
-        rows = [int(r) for r in np.flatnonzero(labels == 0)]
-        status, stats = api.dispatch(
-            "POST",
-            f"/sessions/{sid}/constraints",
-            body={"kind": "cluster", "rows": rows, "label": "left"},
-        )
-        assert status == 200
-        assert stats["feedback"] == ["left"]
+        # The pre-/v1 single-item feedback route and its body shape.
+        route = "constraints"
+        body = {
+            "kind": "cluster",
+            "rows": [int(r) for r in np.flatnonzero(labels == 0)],
+            "label": "left",
+        }
+        for path in (f"/v1/sessions/{sid}/{route}", f"/sessions/{sid}/{route}"):
+            assert api.dispatch("POST", path, body=body)[0] == 404
+        assert api.dispatch("GET", f"/v1/sessions/{sid}")[1]["feedback"] == []
 
 
 class TestMethodNotAllowed:
@@ -141,8 +153,9 @@ class TestMethodNotAllowed:
         assert payload["allow"] == ["GET"]
 
     def test_legacy_paths_keep_blanket_404(self, api):
-        # Pre-/v1 behaviour, asserted by the original test suite.
+        # Outside /v1 there are no routes, so no 405 either.
         assert api.dispatch("PUT", "/sessions")[0] == 404
+        assert api.dispatch("GET", "/sessions/x/feedback")[0] == 404
 
     def test_unknown_v1_path_still_404(self, api):
         assert api.dispatch("GET", "/v1/bogus")[0] == 404
@@ -265,12 +278,6 @@ class TestCustomObjective:
     def test_unknown_objective_still_400(self, api):
         assert (
             api.dispatch(
-                "POST", "/sessions", body={"dataset": "two", "objective": "x"}
-            )[0]
-            == 400
-        )
-        assert (
-            api.dispatch(
                 "POST", "/v1/sessions", body={"dataset": "two", "objective": "x"}
             )[0]
             == 400
@@ -360,22 +367,19 @@ class TestClientBatch:
         finally:
             server.stop()
 
-
-class TestLegacyClientMode:
-    def test_api_version_none_uses_constraints_route(self, two_cluster_data):
-        """A legacy-mode client must only touch pre-/v1 routes."""
+    def test_mark_wrappers_post_one_item_batches(self, two_cluster_data):
         data, labels = two_cluster_data
         server = start_background(SessionManager({"two": data}))
         rows = [int(r) for r in np.flatnonzero(labels == 0)]
         try:
-            client = ServiceClient(server.base_url, api_version=None)
-            assert client.prefix == ""
+            client = ServiceClient(server.base_url)
             sid = client.create_session("two")
+            client.view(sid)
             stats = client.mark_cluster(sid, rows, label="left")
-            assert stats["feedback"] == ["left"]
+            assert stats["applied"] == ["left"]
             stats = client.mark_view_selection(sid, rows, label="left-2d")
+            assert stats["applied"] == ["left-2d"]
             assert stats["feedback"] == ["left", "left-2d"]
-            assert client.view(sid)["top_score"] >= 0.0
             assert client.undo(sid) == "left-2d"
         finally:
             server.stop()

@@ -6,18 +6,14 @@ import numpy as np
 import pytest
 
 from repro.store.sqlite import SQLiteStore
-from repro.store.wal import WalDirectoryStore
 
 
-@pytest.fixture(params=["sqlite", "waldir"])
-def durable_store(request, tmp_path):
-    """Each test runs against both durable backends."""
-    if request.param == "sqlite":
-        store = SQLiteStore(tmp_path / "sessions.db")
-        yield store
-        store.close()
-    else:
-        yield WalDirectoryStore(tmp_path / "waldir")
+@pytest.fixture(params=["sqlite"])
+def durable_store(tmp_path):
+    """The durable backend (the ``[sqlite]`` id names it in test ids)."""
+    store = SQLiteStore(tmp_path / "sessions.db")
+    yield store
+    store.close()
 
 
 @pytest.fixture
@@ -29,9 +25,7 @@ def reopen():
     """
 
     def _reopen(store):
-        if isinstance(store, SQLiteStore):
-            return SQLiteStore(store.path)
-        return WalDirectoryStore(store.root)
+        return SQLiteStore(store.path)
 
     return _reopen
 

@@ -8,14 +8,9 @@ import pytest
 from repro.cli import DATASETS, build_parser, cmd_store, main
 from repro.core.session import ExplorationSession
 from repro.io import session_to_payload
-from repro.service.store import (
-    DirectoryStore,
-    MemoryStore,
-    StoreError,
-)
+from repro.service.store import MemoryStore, StoreError
 from repro.store import store_from_url
 from repro.store.sqlite import SQLiteStore
-from repro.store.wal import WalDirectoryStore
 
 
 class TestStoreFromUrl:
@@ -24,14 +19,16 @@ class TestStoreFromUrl:
         assert isinstance(store_from_url("memory"), MemoryStore)
 
     def test_dir(self, tmp_path):
-        store = store_from_url(f"dir:{tmp_path / 'ck'}")
-        assert isinstance(store, DirectoryStore)
-        assert not isinstance(store, WalDirectoryStore)
+        # No dir: backend: the error names the accepted forms, and nothing
+        # is created on disk.
+        with pytest.raises(StoreError, match="memory: or sqlite:PATH"):
+            store_from_url(f"dir:{tmp_path / 'ck'}")
+        assert not (tmp_path / "ck").exists()
 
     def test_wal(self, tmp_path):
-        assert isinstance(
-            store_from_url(f"wal:{tmp_path / 'ck'}"), WalDirectoryStore
-        )
+        with pytest.raises(StoreError, match="memory: or sqlite:PATH"):
+            store_from_url(f"wal:{tmp_path / 'ck'}")
+        assert not (tmp_path / "ck").exists()
 
     def test_sqlite(self, tmp_path):
         store = store_from_url(f"sqlite:{tmp_path / 's.db'}", fsync="always")
@@ -42,6 +39,13 @@ class TestStoreFromUrl:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(StoreError, match="sqlite:"):
             store_from_url("redis://nope")
+        with pytest.raises(StoreError, match="sqlite:"):
+            store_from_url("sqlite:")  # no path
+
+    @pytest.mark.parametrize("scheme", ["dir", "wal"])
+    def test_serve_exits_2_on_removed_scheme(self, scheme, tmp_path, capsys):
+        assert main(["serve", "--store", f"{scheme}:{tmp_path}"]) == 2
+        assert "expected memory: or sqlite:PATH" in capsys.readouterr().err
 
 
 class TestParser:
@@ -57,10 +61,10 @@ class TestParser:
         args = parser.parse_args(["store", "verify", "sqlite:x.db"])
         assert args.store_command == "verify" and args.policy == "fail"
         args = parser.parse_args(
-            ["store", "compact", "wal:dir", "--session", "s1"]
+            ["store", "compact", "sqlite:x.db", "--session", "s1"]
         )
         assert args.session == "s1"
-        args = parser.parse_args(["store", "inspect", "dir:ck", "--json"])
+        args = parser.parse_args(["store", "inspect", "sqlite:x.db", "--json"])
         assert args.json
 
 
@@ -122,9 +126,13 @@ class TestCmdStore:
         assert report["sessions"]["cli-s"]["tail_records"] == 0
         assert report["sessions"]["cli-s"]["checkpoint_wal_seq"] == 3
 
-    def test_compact_rejects_checkpoint_only_store(self, tmp_path, capsys):
-        url = f"dir:{tmp_path / 'ck'}"
-        assert cmd_store("compact", url) == 2
+    def test_compact_rejects_checkpoint_only_store(self, capsys):
+        assert cmd_store("compact", "memory:") == 2
+        assert "no feedback log" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action", ["inspect", "verify"])
+    def test_inspect_and_verify_refuse_a_non_durable_url(self, action, capsys):
+        assert cmd_store(action, "memory:") == 2
         assert "no feedback log" in capsys.readouterr().err
 
     def test_main_dispatches_store(self, tmp_path, capsys):

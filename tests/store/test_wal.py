@@ -1,13 +1,9 @@
-"""Tests for the JSONL write-ahead log (records, repair, pruning)."""
-
-import json
-import os
+"""Tests for write-ahead log records, abort resolution and fsync policies."""
 
 import pytest
 
 from repro.service.store import StoreError
 from repro.store.wal import (
-    JsonlWal,
     WalRecord,
     record_checksum,
     resolve_aborts,
@@ -34,19 +30,6 @@ class TestWalRecord:
         )
         assert not forged.verify()
 
-    def test_json_line_roundtrip(self):
-        rec = WalRecord.make("s", 7, kind="undo", ref=None)
-        back = WalRecord.from_json_line(rec.to_json_line())
-        assert back == rec
-        assert back.verify()
-
-    @pytest.mark.parametrize(
-        "line", ["", "not json", "[1,2]", '{"seq": 1}', '{"sid": "a"}']
-    )
-    def test_malformed_lines_raise_store_error(self, line):
-        with pytest.raises(StoreError):
-            WalRecord.from_json_line(line)
-
     def test_checksum_depends_on_every_field(self):
         base = record_checksum("s", 1, "feedback", [], None)
         assert record_checksum("t", 1, "feedback", [], None) != base
@@ -67,13 +50,6 @@ class TestResolveAborts:
         live = resolve_aborts(records)
         assert [r.seq for r in live] == [1, 4]
 
-    def test_prune_markers_never_reach_replay(self):
-        records = [
-            WalRecord.make("s", 5, kind="prune"),
-            WalRecord.make("s", 6, items=[{"a": 1}]),
-        ]
-        assert [r.seq for r in resolve_aborts(records)] == [6]
-
 
 class TestFsyncPolicy:
     def test_valid_policies(self):
@@ -83,144 +59,3 @@ class TestFsyncPolicy:
     def test_invalid_policy_rejected(self):
         with pytest.raises(StoreError):
             validate_fsync_policy("sometimes")
-
-
-class TestJsonlWal:
-    def test_append_assigns_contiguous_seqs_per_session(self, tmp_path):
-        wal = JsonlWal(tmp_path / "log.jsonl")
-        assert wal.append("a", [{"x": 1}]).seq == 1
-        assert wal.append("b", [{"x": 1}]).seq == 1
-        assert wal.append("a", [{"x": 2}]).seq == 2
-        assert wal.last_seq("a") == 2
-        assert wal.last_seq("b") == 1
-        assert wal.last_seq("missing") == 0
-
-    def test_fresh_instance_sees_durable_records(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        JsonlWal(path, fsync="always").append("s", [{"x": 1}])
-        wal = JsonlWal(path)
-        records, damage = wal.records("s")
-        assert damage is None
-        assert [r.seq for r in records] == [1]
-        assert wal.append("s", [{"x": 2}]).seq == 2
-
-    def test_torn_final_line_repaired_on_open(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        wal = JsonlWal(path, fsync="always")
-        wal.append("s", [{"x": 1}])
-        wal.append("s", [{"x": 2}])
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-9])  # tear the last record mid-JSON
-        reopened = JsonlWal(path)
-        records, damage = reopened.records("s")
-        assert damage is None  # the torn tail was truncated away
-        assert [r.seq for r in records] == [1]
-        # The repaired file must be appendable again, reusing the seq.
-        assert reopened.append("s", [{"x": 2}]).seq == 2
-
-    def test_mid_file_corruption_reported_not_dropped(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        wal = JsonlWal(path, fsync="always")
-        wal.append("s", [{"x": 1}])
-        good_tail = WalRecord.make("s", 2).to_json_line()
-        with open(path, "a") as fh:
-            fh.write("garbage line\n")
-            fh.write(good_tail + "\n")
-        before = path.read_bytes()
-        reopened = JsonlWal(path)
-        # Complete records past the rot must never be auto-truncated.
-        assert path.read_bytes() == before
-        records, damage = reopened.records("s")
-        assert damage is not None and "unparseable" in damage
-        assert [r.seq for r in records] == [1]
-        # Writes are refused until an operator repairs the file.
-        with pytest.raises(StoreError, match="refusing to write"):
-            reopened.append("s", [{"x": 2}])
-        with pytest.raises(StoreError, match="refusing to write"):
-            reopened.prune("s", 1)
-
-    def test_rollback_appends_abort_marker(self, tmp_path):
-        wal = JsonlWal(tmp_path / "log.jsonl")
-        rec = wal.append("s", [{"x": 1}])
-        wal.rollback("s", rec.seq)
-        records, _ = wal.records("s")
-        assert [r.kind for r in records] == ["feedback", "abort"]
-        assert resolve_aborts(records) == []
-        # Sequence numbering keeps counting past the abort marker.
-        assert wal.append("s", [{"x": 2}]).seq == 3
-
-    def test_prune_drops_folded_records(self, tmp_path):
-        wal = JsonlWal(tmp_path / "log.jsonl")
-        for i in range(4):
-            wal.append("s", [{"i": i}])
-        assert wal.prune("s", up_to_seq=3) == 3
-        records, _ = wal.records("s")
-        assert [r.seq for r in records if r.kind == "feedback"] == [4]
-
-    def test_prune_leaves_marker_preserving_seq_floor(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        wal = JsonlWal(path, fsync="always")
-        for i in range(3):
-            wal.append("s", [{"i": i}])
-        wal.prune("s", up_to_seq=3)
-        # A fresh instance (new process) must not restart numbering: the
-        # durable prune marker carries the floor.
-        assert JsonlWal(path).append("s", [{"i": 3}]).seq == 4
-
-    def test_repeated_prune_is_idempotent(self, tmp_path):
-        wal = JsonlWal(tmp_path / "log.jsonl")
-        for i in range(3):
-            wal.append("s", [{"i": i}])
-        assert wal.prune("s", 3) == 3
-        assert wal.prune("s", 3) == 0
-        assert wal.last_seq("s") == 3
-
-    def test_prune_without_marker_clears_session(self, tmp_path):
-        wal = JsonlWal(tmp_path / "log.jsonl")
-        wal.append("a", [{"x": 1}])
-        wal.append("b", [{"x": 1}])
-        wal.prune("a", wal.last_seq("a"), marker=False)
-        assert wal.session_ids() == ["b"]
-
-    def test_other_sessions_survive_prune(self, tmp_path):
-        wal = JsonlWal(tmp_path / "log.jsonl")
-        wal.append("a", [{"x": 1}])
-        wal.append("b", [{"x": 1}])
-        wal.prune("a", 1)
-        records, _ = wal.records("b")
-        assert [r.seq for r in records] == [1]
-
-    def test_always_policy_fsyncs_every_append(self, tmp_path, monkeypatch):
-        calls = []
-        real_fsync = os.fsync
-        monkeypatch.setattr(
-            os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd))[1]
-        )
-        wal = JsonlWal(tmp_path / "log.jsonl", fsync="always")
-        baseline = len(calls)
-        wal.append("s", [{"x": 1}])
-        wal.append("s", [{"x": 2}])
-        assert len(calls) >= baseline + 2
-
-    def test_batch_policy_fsyncs_on_interval(self, tmp_path, monkeypatch):
-        calls = []
-        real_fsync = os.fsync
-        monkeypatch.setattr(
-            os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd))[1]
-        )
-        wal = JsonlWal(tmp_path / "log.jsonl", fsync="batch", batch_every=3)
-        baseline = len(calls)
-        wal.append("s", [{"x": 1}])
-        wal.append("s", [{"x": 2}])
-        assert len(calls) == baseline
-        wal.append("s", [{"x": 3}])
-        assert len(calls) == baseline + 1
-
-    def test_file_is_plain_jsonl(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        wal = JsonlWal(path, fsync="always")
-        wal.append("s", [{"x": 1}])
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1
-        raw = json.loads(lines[0])
-        assert raw["sid"] == "s" and raw["seq"] == 1

@@ -121,18 +121,17 @@ class TestSuite:
 
     def test_check_baselines_passes_and_fails(self, tiny_sizes, tmp_path):
         payload = bench.run_core_solver_suite(quick=True, seed=0)
-        # Legacy flat layout (mode -> budgets) still read.
         generous = tmp_path / "ok.json"
         generous.write_text(
-            json.dumps({"tolerance": 2.0, "quick": {
-                "optim_sweep_vectorized_s": 1000.0}})
+            json.dumps({"tolerance": 2.0, "core_solver": {"quick": {
+                "optim_sweep_vectorized_s": 1000.0}}})
         )
         assert bench.check_baselines(payload, generous) == []
         strict = tmp_path / "bad.json"
         strict.write_text(
-            json.dumps({"tolerance": 1.0, "quick": {
+            json.dumps({"tolerance": 1.0, "core_solver": {"quick": {
                 "optim_sweep_vectorized_s": 1e-12,
-                "missing_metric_s": 1.0}})
+                "missing_metric_s": 1.0}}})
         )
         failures = bench.check_baselines(payload, strict)
         assert len(failures) == 2
@@ -164,19 +163,27 @@ class TestSuite:
     def test_legacy_flat_file_never_judges_other_suites(
         self, tiny_sizes, tmp_path
     ):
-        """A pre-suite-keyed baselines file only described core_solver;
-        a projection payload must get the 'section missing' error, not be
-        graded against (or report missing metrics from) core budgets."""
-        payload = bench.run_projection_suite(quick=True, seed=0)
+        """A flat (mode -> budgets) baselines file is not read at all: no
+        payload — core_solver included — is graded against its budgets;
+        each gets the 'section missing' error instead."""
         legacy = tmp_path / "legacy.json"
         legacy.write_text(
             json.dumps({"tolerance": 2.0, "quick": {
                 "optim_sweep_vectorized_s": 1e-12}})
         )
-        failures = bench.check_baselines(payload, legacy)
-        assert len(failures) == 1
-        assert "would check nothing" in failures[0]
-        assert "optim_sweep" not in failures[0]
+        core_solver = {
+            "suite": "core_solver",
+            "mode": "quick",
+            "timings": {"optim_sweep_vectorized_s": 0.1},
+        }
+        for payload in (
+            bench.run_projection_suite(quick=True, seed=0),
+            core_solver,
+        ):
+            failures = bench.check_baselines(payload, legacy)
+            assert len(failures) == 1
+            assert "would check nothing" in failures[0]
+            assert "optim_sweep" not in failures[0]
 
     def test_check_baselines_missing_mode_section_fails(self, tmp_path):
         payload = {

@@ -27,17 +27,17 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 8000
-        assert args.store_dir is None
+        assert args.store is None
         assert args.max_sessions == 64
         assert args.ttl is None
         assert args.cache_size == 128
 
     def test_serve_options(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "9001", "--store-dir", "/tmp/x", "--ttl", "30"]
+            ["serve", "--port", "9001", "--store", "sqlite:/tmp/x.db", "--ttl", "30"]
         )
         assert args.port == 9001
-        assert args.store_dir == "/tmp/x"
+        assert args.store == "sqlite:/tmp/x.db"
         assert args.ttl == 30.0
 
 

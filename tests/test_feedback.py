@@ -109,24 +109,6 @@ def fit_counter(monkeypatch):
 
 
 class TestApply:
-    def test_apply_matches_legacy_wrapper(self, two_cluster_data):
-        data, labels = two_cluster_data
-        rows = tuple(int(r) for r in np.flatnonzero(labels == 0))
-
-        typed = ExplorationSession(data, seed=0)
-        typed.current_view()
-        typed.apply(ClusterFeedback(rows=rows, label="left"))
-
-        legacy = ExplorationSession(data, seed=0)
-        legacy.current_view()
-        with pytest.warns(DeprecationWarning):
-            legacy.mark_cluster(rows, label="left")
-
-        assert typed.feedback_groups == legacy.feedback_groups
-        np.testing.assert_array_equal(
-            typed.current_view().axes, legacy.current_view().axes
-        )
-
     def test_auto_labels_match_legacy_scheme(self, two_cluster_data):
         data, _ = two_cluster_data
         session = ExplorationSession(data, seed=0)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.session import ExplorationSession
 from repro.datasets import three_d_clusters, x5
+from repro.feedback import ClusterFeedback
 from repro.io import load_session, save_session
 
 
@@ -33,7 +34,7 @@ class TestReplayThreeD:
         )
         full.current_view()
         for rows in blobs:
-            full.mark_cluster(rows)
+            full.apply(ClusterFeedback(rows=rows))
         final_full = full.current_view()
 
         # Interrupted run: stop after two markings, save, restore, finish.
@@ -41,13 +42,13 @@ class TestReplayThreeD:
             bundle.data, objective="pca", standardize=True, seed=0
         )
         part.current_view()
-        part.mark_cluster(blobs[0])
-        part.mark_cluster(blobs[1])
+        part.apply(ClusterFeedback(rows=blobs[0]))
+        part.apply(ClusterFeedback(rows=blobs[1]))
         path = tmp_path / "mid-session.json"
         save_session(part, path)
 
         resumed = load_session(bundle.data, path, standardize=True, seed=0)
-        resumed.mark_cluster(blobs[2])
+        resumed.apply(ClusterFeedback(rows=blobs[2]))
         final_resumed = resumed.current_view()
 
         # Same belief state -> same scores and same axis subspace.
@@ -63,7 +64,7 @@ class TestReplayThreeD:
             bundle.data, objective="pca", standardize=True, seed=0
         )
         session.current_view()
-        session.mark_cluster(bundle.rows_with_label(0))
+        session.apply(ClusterFeedback(rows=bundle.rows_with_label(0)))
         session.current_view()
         before = session.model.knowledge_nats()
         path = tmp_path / "s.json"
@@ -81,7 +82,7 @@ class TestReplayX5:
             bundle.data, objective="ica", standardize=True, seed=0
         )
         session.current_view()
-        session.mark_cluster(bundle.rows_with_label("A"))
+        session.apply(ClusterFeedback(rows=bundle.rows_with_label("A")))
         path = tmp_path / "x5.json"
         save_session(session, path)
         restored = load_session(bundle.data, path, standardize=True, seed=0)

@@ -7,6 +7,7 @@ from repro.core.background import BackgroundModel
 from repro.core.constraint import Constraint, ConstraintKind
 from repro.core.session import ExplorationSession
 from repro.errors import DataShapeError
+from repro.feedback import ClusterFeedback
 from repro.io import (
     constraint_from_dict,
     constraint_to_dict,
@@ -56,8 +57,8 @@ class TestSessionRoundtrip:
         data, labels = two_cluster_data
         session = ExplorationSession(data, objective="pca", seed=0)
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 0), label="left")
-        session.mark_cluster(np.flatnonzero(labels == 1), label="right")
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 0), label="left"))
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 1), label="right"))
         path = tmp_path / "session.json"
         save_session(session, path)
 
@@ -106,7 +107,7 @@ class TestSessionRoundtrip:
         data, labels = two_cluster_data
         session = ExplorationSession(data, seed=0)
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 0), label="blob-a")
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 0), label="blob-a"))
         session.current_view()
         path = tmp_path / "session.json"
         save_session(session, path)
@@ -140,8 +141,8 @@ class TestSessionRoundtrip:
         data, labels = two_cluster_data
         session = ExplorationSession(data, seed=0)
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 0), label="left")
-        session.mark_cluster(np.flatnonzero(labels == 1), label="right")
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 0), label="left"))
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 1), label="right"))
         path = tmp_path / "session.json"
         save_session(session, path)
 
@@ -159,7 +160,7 @@ class TestSessionRoundtrip:
         data, labels = two_cluster_data
         session = ExplorationSession(data, seed=0)
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 0), label="left")
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 0), label="left"))
         path = tmp_path / "session.json"
         save_session(session, path)
         payload = json.loads(path.read_text())
@@ -179,7 +180,7 @@ class TestSessionRoundtrip:
         data, labels = two_cluster_data
         session = ExplorationSession(data, seed=0)
         session.current_view()
-        session.mark_cluster(np.flatnonzero(labels == 0), label="left")
+        session.apply(ClusterFeedback(rows=np.flatnonzero(labels == 0), label="left"))
         path = tmp_path / "session.json"
         save_session(session, path)
         payload = json.loads(path.read_text())

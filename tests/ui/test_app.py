@@ -126,6 +126,36 @@ class TestUIState:
         with pytest.raises(DataShapeError):
             state.set_selection(np.array([100]), n_rows=10)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [0.5, 1.9, 2.2],  # would truncate onto rows {0, 1, 2}
+            np.array([True, False, False, True]),  # would become rows {0, 1}
+            ["3", "4"],  # would parse into rows {3, 4}
+        ],
+        ids=["floats", "bool-mask", "strings"],
+    )
+    def test_non_integer_selection_rejected(self, rows):
+        state = UIState()
+        state.set_selection(np.array([1, 2]), n_rows=10)
+        with pytest.raises(DataShapeError, match="integer row indices"):
+            state.set_selection(rows, n_rows=10)
+        np.testing.assert_array_equal(state.selection, [1, 2])  # unchanged
+
+    def test_empty_selection_is_legal(self):
+        state = UIState()
+        state.set_selection(np.array([1, 2]), n_rows=10)
+        state.set_selection([], n_rows=10)
+        assert state.selection.size == 0
+        assert state.selection.dtype == np.intp
+
+    def test_select_rows_validates_instead_of_casting(self, two_cluster_data):
+        data, _ = two_cluster_data
+        app = SiderApp(data, seed=0)
+        with pytest.raises(DataShapeError):
+            app.select_rows([0.5, 1.9])
+        np.testing.assert_array_equal(app.select_rows([3, 1]), [1, 3])
+
     def test_clear_selection(self):
         state = UIState()
         state.set_selection(np.array([1, 2]), n_rows=10)
