@@ -88,6 +88,8 @@ class BackgroundModel:
         self._classes: EquivalenceClasses | None = None
         self._report: SolverReport | None = None
         self._dirty = True
+        # (params, classes, Y) of the last whiten(); see whiten().
+        self._whitened: tuple | None = None
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -255,9 +257,20 @@ class BackgroundModel:
         return self._params, self._classes
 
     def whiten(self) -> np.ndarray:
-        """Whitened data Y (Eq. 14) under the fitted model."""
+        """Whitened data Y (Eq. 14) under the fitted model, read-only.
+
+        Computed once per fit: a view and its row surprise share one
+        matrix.  The memo is keyed on the identity of the installed
+        parameter and class objects, which every fit replaces, and so do
+        the solve cache and checkpoint restore when they install a fit.
+        """
         params, classes = self._require_fit()
-        return whiten(self._data, params, classes)
+        memo = self._whitened
+        if memo is None or memo[0] is not params or memo[1] is not classes:
+            whitened = whiten(self._data, params, classes)
+            whitened.flags.writeable = False
+            memo = self._whitened = (params, classes, whitened)
+        return memo[2]
 
     def sample(self, rng: np.random.Generator | None = None) -> np.ndarray:
         """One background-distribution sample per data row (ghost points)."""
@@ -323,10 +336,10 @@ class BackgroundModel:
         The principled version of the ghost-displacement visual: large
         values mark rows the current belief state considers unlikely.
         """
-        from repro.eval.information import row_negative_log_density
+        from repro.eval.information import whitened_negative_log_density
 
         params, classes = self._require_fit()
-        return row_negative_log_density(self._data, params, classes)
+        return whitened_negative_log_density(self.whiten(), params, classes)
 
     def equivalence_summary(self) -> dict:
         """Small diagnostic summary of the row partition (for logs/tests)."""

@@ -78,6 +78,17 @@ def row_negative_log_density(
     from repro.core.whitening import whiten
 
     whitened = whiten(arr, params, classes)
+    return whitened_negative_log_density(whitened, params, classes)
+
+
+def whitened_negative_log_density(
+    whitened: np.ndarray,
+    params: ClassParameters,
+    classes: EquivalenceClasses,
+) -> np.ndarray:
+    """:func:`row_negative_log_density` of data already whitened under
+    ``params`` and ``classes``, for a caller that holds that matrix (a
+    fitted model whitens once per fit)."""
     maha_sq = np.einsum("ij,ij->i", whitened, whitened)
     logdets = _class_logdets(params)[classes.class_of_row]
     d = params.dim

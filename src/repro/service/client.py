@@ -314,7 +314,8 @@ class ServiceClient:
                     retry_after = None
             try:
                 payload = json.loads(exc.read() or b"{}")
-            except (json.JSONDecodeError, OSError, http.client.HTTPException):
+            except (ValueError, OSError, http.client.HTTPException):
+                # ValueError: a non-JSON or non-UTF-8 error body.
                 payload = {"error": str(exc)}
             raise ServiceClientError(
                 exc.code, payload, retry_after=retry_after
@@ -341,10 +342,10 @@ class ServiceClient:
             return raw.decode("utf-8", "replace")
         try:
             return json.loads(raw or b"{}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             # A dying or misbehaving server can emit a non-JSON (or
-            # truncated) success body; surface it as a client error rather
-            # than a raw JSONDecodeError.
+            # truncated, or non-UTF-8) success body; surface it as a client
+            # error rather than a raw decode exception.
             raise ServiceClientError(
                 status,
                 {

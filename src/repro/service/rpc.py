@@ -31,6 +31,8 @@ import struct
 import threading
 from typing import Callable
 
+from repro.service import wire
+
 __all__ = [
     "MAX_FRAME_BYTES",
     "RpcConnectionClosed",
@@ -60,7 +62,7 @@ class RpcConnectionClosed(RpcError):
 
 def send_frame(sock: socket.socket, obj) -> None:
     """Serialise ``obj`` as JSON and write one length-prefixed frame."""
-    body = json.dumps(obj, separators=(",", ":")).encode()
+    body = wire.dumps(obj)
     if len(body) > MAX_FRAME_BYTES:
         raise RpcError(
             f"frame of {len(body)} bytes exceeds the "

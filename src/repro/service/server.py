@@ -25,6 +25,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro import obs
 from repro.resilience import chaos
+from repro.service import wire
 from repro.service.api import (
     DEADLINE_HEADER,
     IDEMPOTENCY_HEADER,
@@ -95,7 +96,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             raw = self.rfile.read(length)
             try:
                 body = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
                 self._reject(
                     state,
                     started,
@@ -175,7 +176,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             encoded = str(payload).encode()
         else:
             content_type = "application/json"
-            encoded = json.dumps(payload).encode()
+            encoded = wire.dumps(payload)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(encoded)))

@@ -138,3 +138,62 @@ class TestDerivedQuantities:
         summary = model.equivalence_summary()
         assert summary["n_rows"] == 100
         assert summary["n_classes"] == 2
+
+
+class TestWhitenMemo:
+    """One whitened matrix per installed fit, shared by view and surprise."""
+
+    def _fitted(self, two_cluster_data):
+        data, labels = two_cluster_data
+        model = BackgroundModel(data)
+        model.add_cluster_constraint(np.flatnonzero(labels == 0))
+        model.fit()
+        return model
+
+    def test_whiten_is_computed_once_per_fit(self, two_cluster_data, monkeypatch):
+        import repro.core.background as background
+
+        calls = []
+        real = background.whiten
+        monkeypatch.setattr(
+            background, "whiten", lambda *a: calls.append(1) or real(*a)
+        )
+        model = self._fitted(two_cluster_data)
+        first = model.whiten()
+        model.row_surprise()
+        assert model.whiten() is first
+        assert len(calls) == 1
+        model.fit()  # a new fit installs new parameter objects
+        assert model.whiten() is not first
+        assert len(calls) == 2
+
+    def test_whitened_matrix_is_read_only(self, two_cluster_data):
+        whitened = self._fitted(two_cluster_data).whiten()
+        assert not whitened.flags.writeable
+        with pytest.raises(ValueError):
+            whitened[0, 0] = 1.0
+
+    def test_row_surprise_matches_a_fresh_computation(self, two_cluster_data):
+        from repro.eval.information import row_negative_log_density
+
+        model = self._fitted(two_cluster_data)
+        model.whiten()  # the memo row_surprise reuses
+        params, classes = model._require_fit()
+        fresh = row_negative_log_density(model.data, params, classes)
+        assert np.array_equal(model.row_surprise(), fresh)
+
+    def test_restored_parameters_are_whitened_afresh(
+        self, two_cluster_data, tmp_path
+    ):
+        from repro.core.whitening import whiten
+        from repro.io import load_model_parameters, save_model_parameters
+
+        model = self._fitted(two_cluster_data)
+        before = model.whiten()
+        path = tmp_path / "params.npz"
+        save_model_parameters(model, path)
+        load_model_parameters(model, path)
+        after = model.whiten()
+        assert after is not before
+        params, classes = model._require_fit()
+        assert np.array_equal(after, whiten(model.data, params, classes))

@@ -147,19 +147,20 @@ class TestErrorEvents:
 
     def test_malformed_json_body_400(self, live):
         server, client, manager, state, path = live
-        request = urllib.request.Request(
-            server.base_url + "/v1/sessions",
-            data=b"{not json",
-            method="POST",
-            headers={"Content-Type": "application/json"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(request)
-        assert err.value.code == 400
-        payload = json.loads(err.value.read())
-        assert "not JSON" in payload["error"]
-        event = _events(path)[-1]
-        assert event["error_kind"] == "malformed_body"
+        for body in (b"{not json", b"\x80abc"):  # the second is not UTF-8
+            request = urllib.request.Request(
+                server.base_url + "/v1/sessions",
+                data=body,
+                method="POST",
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(request)
+            assert err.value.code == 400
+            payload = json.loads(err.value.read())
+            assert "not JSON" in payload["error"]
+            event = _events(path)[-1]
+            assert event["error_kind"] == "malformed_body"
 
     def test_non_object_json_body_400(self, live):
         server, client, manager, state, path = live

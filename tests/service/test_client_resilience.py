@@ -61,6 +61,14 @@ class _MisbehavingHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
+        elif "/not-utf8" in self.path:
+            # Bytes no UTF-8 decoder accepts, as a success or an error.
+            body = b"\x80abc"
+            self.send_response(502 if self.path.endswith("-error") else 200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
         elif self.path.endswith("/truncated"):
             # Promise more bytes than are sent, then drop the connection.
             self.send_response(200)
@@ -112,6 +120,16 @@ class TestNonJsonBodies:
             client._request("GET", "/garbage")
         assert excinfo.value.status == 200
         assert "invalid JSON" in str(excinfo.value)
+
+    def test_non_utf8_bodies_become_client_errors(self, misbehaving_server):
+        client = ServiceClient(misbehaving_server, max_retries=0)
+        with pytest.raises(ServiceClientError) as excinfo:
+            client._request("GET", "/not-utf8")
+        assert excinfo.value.status == 200
+        assert "invalid JSON" in str(excinfo.value)
+        with pytest.raises(ServiceClientError) as excinfo:
+            client._request("GET", "/not-utf8-error")
+        assert excinfo.value.status == 502
 
     def test_truncated_body_becomes_client_error(self, misbehaving_server):
         client = ServiceClient(misbehaving_server)

@@ -227,16 +227,18 @@ class TestLiveServer:
         data, _ = two_cluster_data
         server = start_background(SessionManager({"two": data}))
         try:
-            request = urllib.request.Request(
-                server.base_url + "/v1/sessions",
-                data=b"{not json",
-                method="POST",
-            )
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(request, timeout=10)
-            assert err.value.code == 400
-            payload = json.loads(err.value.read())
-            assert "not JSON" in payload["error"]
+            # Not JSON, and not even UTF-8: both are the client's fault.
+            for body in (b"{not json", b"\x80abc"):
+                request = urllib.request.Request(
+                    server.base_url + "/v1/sessions",
+                    data=body,
+                    method="POST",
+                )
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    urllib.request.urlopen(request, timeout=10)
+                assert err.value.code == 400
+                payload = json.loads(err.value.read())
+                assert "not JSON" in payload["error"]
         finally:
             server.stop()
 

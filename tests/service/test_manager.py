@@ -139,6 +139,67 @@ class TestCacheIntegration:
         assert meta["cache_hit"]
 
 
+class TestWhitening:
+    """A detail view whitens once per fit, and never reuses a stale fit."""
+
+    @pytest.fixture
+    def whiten_calls(self, monkeypatch):
+        import repro.core.background as background
+        import repro.core.whitening as whitening
+
+        calls = []
+        real = whitening.whiten
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        # background imports the name; eval.information imports it per call.
+        monkeypatch.setattr(background, "whiten", counting)
+        monkeypatch.setattr(whitening, "whiten", counting)
+        return calls
+
+    def test_cold_detail_view_whitens_once(
+        self, manager, two_cluster_data, whiten_calls
+    ):
+        _, labels = two_cluster_data
+        sid = manager.create("two")
+        manager.apply_feedback(
+            sid, [ClusterFeedback(rows=np.flatnonzero(labels == 0))]
+        )
+        manager.view(sid, detail=True)
+        assert len(whiten_calls) == 1
+        manager.view(sid, detail=True)  # same fit: nothing to whiten
+        assert len(whiten_calls) == 1
+
+    def test_cache_installed_fit_after_undo_is_whitened_afresh(
+        self, manager, two_cluster_data
+    ):
+        from repro.core.whitening import whiten
+        from repro.eval.information import row_negative_log_density
+
+        _, labels = two_cluster_data
+        sid = manager.create("two")
+        manager.view(sid, detail=True)  # prior fit, stored in the cache
+        manager.apply_feedback(
+            sid, [ClusterFeedback(rows=np.flatnonzero(labels == 0))]
+        )
+        manager.view(sid, detail=True)
+        model = manager._entries[sid].session.model
+        marked = model.whiten()
+        manager.undo(sid)
+        _, meta = manager.view(sid, detail=True)
+        assert meta["cache_hit"]
+        current = model.whiten()
+        assert current is not marked
+        params, classes = model._require_fit()
+        assert np.array_equal(current, whiten(model.data, params, classes))
+        assert np.array_equal(
+            meta["row_surprise"],
+            row_negative_log_density(model.data, params, classes),
+        )
+
+
 class TestEvictionAndExpiry:
     def test_lru_eviction_checkpoints_and_resumes(self, two_cluster_data):
         data, labels = two_cluster_data
