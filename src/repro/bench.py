@@ -49,6 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import perf
 from repro.core.constraint import Constraint, ConstraintKind
 from repro.core.equivalence import build_equivalence_classes
 from repro.core.grouping import apply_by_class, apply_by_class_loop
@@ -295,18 +296,43 @@ def balanced_partition(n: int, c_count: int, seed: int = 0):
     )
 
 
+def _counted_iterations(run) -> int:
+    """Fixed-point iterations one untimed ``fit_fastica`` call performs.
+
+    ``fit_fastica`` reports only its winning restart's iterations but adds
+    every restart's to the ``projection.fastica_iterations`` perf counter,
+    so ``run`` is made once with perf recording and the counter's rise
+    read.  A registry that was off is switched off and emptied again.
+    """
+    key = "projection.fastica_iterations"
+    was_enabled = perf.is_enabled()
+    before = perf.snapshot()["counters"].get(key, 0)
+    perf.enable()
+    try:
+        run()
+        counted = perf.snapshot()["counters"][key] - before
+    finally:
+        if not was_enabled:
+            perf.disable()
+            perf.reset()
+    return int(counted)
+
+
 def run_projection_suite(quick: bool = True, seed: int = 0) -> dict:
     """Time the batched projection kernels against the preserved loops.
 
-    Three match-ups, each on identical inputs and a fixed iteration count
-    (tolerance 0 disables early convergence so both sides do the same
-    work):
+    Three match-ups, each on identical inputs.  Tolerance 0 turns the
+    alignment test off, so the FastICA runs stop on the plateau test or
+    the iteration cap, which both sides apply identically; the payload's
+    ``iterations`` block records the fixed-point iterations each side
+    ran, so a speedup never compares unequal work:
 
     * ``fastica`` — one batched symmetric run vs the serial loop
       preserved in :mod:`repro.projection.reference`;
     * ``fastica_restarts`` — R initialisations as one stacked tensor
       iteration vs R serial ``reference_fit_fastica`` calls (the old
-      restart pattern);
+      restart pattern), the serial calls drawing their starts from one
+      generator in turn, exactly the stack the batched run draws;
     * ``scatter`` — the block-diagonal GEMM vs the per-class matmul loop
       on a near-balanced C-class partition.
 
@@ -327,13 +353,13 @@ def run_projection_suite(quick: bool = True, seed: int = 0) -> dict:
             tolerance=0.0,
         )
 
-    def reference_single() -> None:
-        reference_fit_fastica(
+    def reference_single() -> int:
+        return reference_fit_fastica(
             data,
             rng=np.random.default_rng(ica_seed),
             max_iterations=iterations,
             tolerance=0.0,
-        )
+        )[1]
 
     def batched_restarts() -> None:
         fit_fastica(
@@ -344,16 +370,24 @@ def run_projection_suite(quick: bool = True, seed: int = 0) -> dict:
             n_restarts=restarts,
         )
 
-    def reference_restarts() -> None:
+    def reference_restarts() -> int:
         # The pre-batching restart pattern: R independent serial fits.
+        # Sequential (k, k) draws from one generator are the batched
+        # run's (R, k, k) stack, so each fit repeats one restart.
         rng = np.random.default_rng(ica_seed)
-        for _ in range(restarts):
+        return sum(
             reference_fit_fastica(
-                data,
-                rng=np.random.default_rng(int(rng.integers(0, 2**63))),
-                max_iterations=iterations,
-                tolerance=0.0,
-            )
+                data, rng=rng, max_iterations=iterations, tolerance=0.0
+            )[1]
+            for _ in range(restarts)
+        )
+
+    work = {
+        "fastica_vectorized": _counted_iterations(batched_single),
+        "fastica_reference": reference_single(),
+        "fastica_restarts_vectorized": _counted_iterations(batched_restarts),
+        "fastica_restarts_reference": reference_restarts(),
+    }
 
     classes = balanced_partition(n, size["scatter_classes"], seed=seed)
     rng = np.random.default_rng(seed + 2)
@@ -391,6 +425,7 @@ def run_projection_suite(quick: bool = True, seed: int = 0) -> dict:
             "seed": seed,
         },
         "timings": timings,
+        "iterations": {name: int(its) for name, its in work.items()},
         "speedups": {
             "fastica": speedup("fastica"),
             "fastica_restarts": speedup("fastica_restarts"),

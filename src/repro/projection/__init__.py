@@ -12,6 +12,7 @@ from repro.projection.pca import PCAResult, fit_pca, unit_deviation_score
 from repro.projection.registry import Objective, UnknownObjectiveError
 from repro.projection.scores import (
     GAUSSIAN_LOGCOSH_MEAN,
+    GAUSSIAN_LOGCOSH_SD,
     ica_scores,
     pca_scores,
     view_score_summary,
@@ -28,6 +29,7 @@ __all__ = [
     "ICAResult",
     "fit_fastica",
     "GAUSSIAN_LOGCOSH_MEAN",
+    "GAUSSIAN_LOGCOSH_SD",
     "pca_scores",
     "ica_scores",
     "view_score_summary",

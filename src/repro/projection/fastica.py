@@ -15,6 +15,28 @@ fixed-point algorithm:
 Components are returned as unit vectors in the *input* coordinate space so
 they can be used directly as projection axes.
 
+**Stopping.**  A run stops on the first of three tests:
+
+* *alignment* — every direction stopped rotating,
+  ``|<w_new, w_old>| > 1 - tolerance``;
+* *plateau* — the view it would produce stopped improving.  Every
+  :data:`PLATEAU_EVERY` iterations the run measures its summed top-2
+  ``|log-cosh contrast|`` (deflation: the current component's
+  ``|contrast|``) from the projection the step forms anyway; once that
+  has not risen by more than ``PLATEAU_GAIN * GAUSSIAN_LOGCOSH_SD /
+  sqrt(n)`` over the last :data:`PLATEAU_WINDOW` iterations the run
+  stops.  ``GAUSSIAN_LOGCOSH_SD / sqrt(n)`` is the sampling SD of the
+  contrast of a gaussian direction, so a rise below that fraction of it
+  cannot change which view is shown;
+* the iteration *cap*.
+
+The plateau test exists because the alignment test alone rarely fires on
+background-whitened data: directions with no structure left have no fixed
+point and keep rotating, and symmetric decorrelation carries that rotation
+into the structured directions, so runs used to iterate to the cap chasing
+noise.  :attr:`ICAResult.converged` is true when either of the first two
+tests stopped the run, false when it hit the cap.
+
 The symmetric variant is **batched**: ``n_restarts`` random initialisations
 iterate as one stacked ``(R, k, k)`` tensor — one broadcast tanh/GEMM pass
 and one batched-``eigh`` symmetric decorrelation per step instead of R
@@ -26,6 +48,7 @@ tests pin to 1e-10.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +62,32 @@ from repro.linalg import inverse_sqrt_psd, inverse_sqrt_psd_batched
 _RANK_TOL = 1e-10
 
 _LOG2 = float(np.log(2.0))
+
+#: Plateau stop: measure the contrast every ``PLATEAU_EVERY`` iterations,
+#: and stop once it has not risen by more than ``PLATEAU_GAIN`` sampling
+#: SDs over the last ``PLATEAU_WINDOW`` iterations.  Measuring on every
+#: iteration adds a log-cosh pass per step, which made converging runs at
+#: n = 20,000 slower; a shorter window or a larger gain cut views short on
+#: the 100-d ``bnc`` data.
+PLATEAU_EVERY = 5
+PLATEAU_WINDOW = 20
+PLATEAU_GAIN = 0.02
+
+#: Up to this many rows the plateau test evaluates ``log(cosh(s))``
+#: directly.  A source of unit sample variance has ``|s| <= sqrt(n - 1)``,
+#: below cosh's overflow point (~710.5) for these n, and the direct form
+#: costs about half the stable :func:`logcosh` (no abs/exp/log1p passes).
+DIRECT_LOGCOSH_MAX_ROWS = 500_000
+
+#: ``E[log cosh nu]`` for ``nu ~ N(0,1)`` ≈ 0.3746 — the gaussian reference
+#: level of the log-cosh contrast and the ICA score.  Equal to adaptive
+#: quadrature over [-12, 12] to the last bit (pinned by a test).
+GAUSSIAN_LOGCOSH_MEAN = 0.374567207491438
+
+#: ``SD[log cosh nu]`` for ``nu ~ N(0,1)``: the log-cosh contrast of a
+#: gaussian direction estimated from n rows has sampling SD
+#: ``GAUSSIAN_LOGCOSH_SD / sqrt(n)`` (0.0138 at n = 1,000).
+GAUSSIAN_LOGCOSH_SD = 0.4356230585866242
 
 
 def logcosh(x: np.ndarray) -> np.ndarray:
@@ -59,10 +108,34 @@ def logcosh_contrast(wz: np.ndarray, axis: int = 0) -> np.ndarray:
     for super-gaussian ones, positive for sub-gaussian ones.  Multi-restart
     selection maximises the summed ``|contrast|`` across components.
     """
-    # Imported lazily: scores imports this module's stable logcosh.
-    from repro.projection.scores import GAUSSIAN_LOGCOSH_MEAN
-
     return np.mean(logcosh(wz), axis=axis) - GAUSSIAN_LOGCOSH_MEAN
+
+
+def _top2_strength(contrast: np.ndarray) -> np.ndarray:
+    """Summed top-2 ``|contrast|`` along the last axis: what a view shows."""
+    return np.sort(np.abs(contrast), axis=-1)[..., -2:].sum(axis=-1)
+
+
+def _plateau_contrast(
+    wz: np.ndarray, out: np.ndarray, ones: np.ndarray
+) -> np.ndarray:
+    """Log-cosh contrast of the columns of ``wz`` for the plateau test.
+
+    ``ones @ log(cosh(wz)) / n``, the column means as one BLAS product
+    (3-5x faster than ``np.add.reduce`` along rows), with ``out`` as
+    scratch, since at large n fresh temporaries cost more than the math.
+    """
+    n = wz.shape[0]
+    if n > DIRECT_LOGCOSH_MAX_ROWS:
+        return logcosh_contrast(wz, axis=0)
+    np.cosh(wz, out=out)
+    np.log(out, out=out)
+    return ones @ out / n - GAUSSIAN_LOGCOSH_MEAN
+
+
+def _plateau_gain(n: int) -> float:
+    """The rise, in contrast units, that keeps an ``n``-row run going."""
+    return PLATEAU_GAIN * GAUSSIAN_LOGCOSH_SD / float(np.sqrt(n))
 
 
 # A note on "fusing" the contrast and derivative passes: tanh and the
@@ -73,9 +146,9 @@ def logcosh_contrast(wz: np.ndarray, axis: int = 0) -> np.ndarray:
 # the sign/divide/log1p temporaries cost more than the second libm call
 # they replace (~0.65x vs separate ``np.tanh`` + ``logcosh`` passes at
 # bench sizes).  The hot paths therefore evaluate exactly the half they
-# need — the iteration uses ``tanh``, restart selection uses
-# :func:`logcosh_contrast` — each in a single pass over the projected
-# sources.
+# need — the iteration uses ``tanh``, the plateau test (every
+# PLATEAU_EVERY steps) and restart selection use log cosh — each in a
+# single pass over the projected sources.
 
 
 @dataclass(frozen=True)
@@ -90,12 +163,14 @@ class ICAResult:
         :func:`repro.projection.scores.ica_scores`).
     n_iterations:
         Fixed-point iterations performed (by the winning restart in
-        multi-restart mode).
+        multi-restart mode; summed over components in deflation mode).
     converged:
-        Whether every direction met the tolerance within the iteration
-        cap.  Meeting it on the final permitted iteration counts: a run
-        whose last update at exactly ``max_iterations`` satisfies the
-        alignment test reports ``converged=True``.
+        Whether the alignment test or the plateau test (see the module
+        docstring) stopped the run — for deflation, every component's
+        run — before the iteration cap did.  Meeting a test on the final
+        permitted iteration counts: a run whose last update at exactly
+        ``max_iterations`` satisfies the alignment test reports
+        ``converged=True``.
     n_restarts:
         How many random initialisations were searched.
     best_restart:
@@ -135,8 +210,10 @@ def fit_fastica(
     max_iterations:
         Cap on fixed-point iterations (per component in deflation mode).
     tolerance:
-        Convergence when every updated direction satisfies
-        ``|<w_new, w_old>| > 1 - tolerance``.
+        Alignment test: stop when every updated direction satisfies
+        ``|<w_new, w_old>| > 1 - tolerance``.  The plateau test (module
+        docstring) applies whatever the tolerance, so ``tolerance=0``
+        leaves a run that only the plateau or the cap can stop.
     rng:
         Source of randomness for the initial unmixing matrix.  Pass a seeded
         generator for reproducible components.
@@ -207,6 +284,7 @@ def fit_fastica(
                 w_all, its, conv = _symmetric_fastica_batched(
                     z, inits, max_iterations, tolerance
                 )
+            capped = n_restarts - int(np.count_nonzero(conv))
             with perf.timer("select"):
                 # One flattened GEMM + one stable log-cosh traversal
                 # scores every restart's final sources at once.
@@ -230,9 +308,13 @@ def fit_fastica(
                 w, iterations, converged = _deflation_fastica(
                     z, k, max_iterations, tolerance, rng
                 )
+            capped = int(not converged)
             perf.add("projection.fastica_iterations", iterations)
         perf.add("projection.fastica_runs")
         perf.add("projection.fastica_restarts", n_restarts)
+        # Restarts (symmetric) or runs (deflation) that neither the
+        # alignment nor the plateau test stopped before the cap.
+        perf.add("projection.fastica_capped", capped)
 
         # --- Map unmixing rows back to input coordinates -----------------
         components = _components_from_unmixing(w, basis, scale)
@@ -302,9 +384,10 @@ def _symmetric_fastica_batched(
     ``inits`` is the ``(R, k, k)`` stack of raw initial matrices.  Every
     step performs one broadcast ``tanh``/GEMM pass and one batched-eigh
     symmetric decorrelation over all still-active restarts; a restart
-    whose directions stop rotating is frozen at its converged unmixing
-    matrix (exactly where the serial loop would have stopped), so each
-    slice reproduces the preserved serial trajectory bit-for-bit.
+    that meets the alignment or the plateau test is frozen at its current
+    unmixing matrix (exactly where the serial loop stops), so each slice
+    reproduces the serial trajectory of
+    :func:`repro.projection.reference.reference_multi_restart_symmetric`.
 
     Returns stacked ``(w, iterations, converged)`` of shapes
     ``(R, k, k)``, ``(R,)``, ``(R,)``.
@@ -315,6 +398,13 @@ def _symmetric_fastica_batched(
     iterations = np.zeros(restarts, dtype=np.intp)
     converged = np.zeros(restarts, dtype=bool)
     active = np.arange(restarts)
+    # Plateau test state, aligned with ``active``: each restart's best
+    # top-2 strength so far and the step that last raised it by more
+    # than the gain.
+    gain = _plateau_gain(n)
+    ones = np.ones(n)
+    best = np.full(restarts, -np.inf)
+    best_step = np.zeros(restarts, dtype=np.intp)
     # Reusable (n, Ra*k) work buffers, reallocated only when restarts
     # converge out of the stack.  Fresh per-iteration temporaries of this
     # size would leave the allocator's small-buffer cache and pay an
@@ -333,25 +423,39 @@ def _symmetric_fastica_batched(
         # the non-contiguous slices and lose to plain dgemm at large n).
         w_flat = w_act.reshape(ra * k, k)
         np.matmul(z, w_flat.T, out=wz)                      # (n, Ra*k)
-        # tanh only here: the log-cosh contrast is not needed until the
-        # final selection pass, and evaluating it per step would double
-        # the elementwise cost of the loop.
+        # The plateau test reads the contrast of the sources this step
+        # already formed, before tanh overwrites them (sq is free until
+        # then); only every PLATEAU_EVERY steps, as a per-step log-cosh
+        # pass would double the elementwise cost of the loop.
+        check = step % PLATEAU_EVERY == 0
+        if check:
+            strength = _top2_strength(
+                _plateau_contrast(wz, sq, ones).reshape(ra, k)
+            )
         g = np.tanh(wz, out=wz)
         np.multiply(g, g, out=sq)
         np.subtract(1.0, sq, out=sq)
-        g_prime_mean = np.mean(sq, axis=0)                  # (Ra*k,)
+        # np.mean's exact arithmetic (sum, then divide by the count)
+        # without its Python-level overhead, a few µs a step at small n.
+        g_prime_mean = np.add.reduce(sq, axis=0) / n        # (Ra*k,)
         w_new = (g.T @ z) / n - g_prime_mean[:, None] * w_flat
         w_new = _symmetric_decorrelation_batched(w_new.reshape(ra, k, k))
-        if not np.all(np.isfinite(w_new)):
+        if not np.isfinite(w_new).all():
             raise ConvergenceError("FastICA iteration produced non-finite values")
-        # Convergence: directions stopped rotating (sign-invariant).
+        # Alignment test: directions stopped rotating (sign-invariant).
         alignment = np.abs(np.einsum("rij,rij->ri", w_new, w_act))
         w[active] = w_new
         iterations[active] = step
-        done = np.all(alignment > 1.0 - tolerance, axis=1)
+        done = (alignment > 1.0 - tolerance).all(axis=1)
+        if check:
+            rose = strength > best + gain
+            best[rose] = strength[rose]
+            best_step[rose] = step
+            done |= step - best_step >= PLATEAU_WINDOW
         if done.any():
             converged[active[done]] = True
-            active = active[~done]
+            keep = ~done
+            active, best, best_step = active[keep], best[keep], best_step[keep]
             if active.size == 0:
                 break
     return w, iterations, converged
@@ -364,25 +468,38 @@ def _deflation_fastica(
     tolerance: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, int, bool]:
-    """One-at-a-time fixed-point updates with Gram–Schmidt deflation."""
+    """One-at-a-time fixed-point updates with Gram–Schmidt deflation.
+
+    Each component stops on its own alignment or plateau test; the
+    plateau test tracks that component's ``|contrast|``.
+    """
     n, dim = z.shape
     w = np.zeros((k, dim))
     total_iterations = 0
     all_converged = True
+    gain = _plateau_gain(n)
+    scratch, ones = np.empty(n), np.ones(n)
     for c in range(k):
         wc = rng.standard_normal(dim)
         wc /= np.linalg.norm(wc)
         component_converged = False
-        for _ in range(max_iterations):
+        best, best_step = -np.inf, 0
+        for step in range(1, max_iterations + 1):
             total_iterations += 1
             wz = z @ wc
+            check = step % PLATEAU_EVERY == 0
+            if check:
+                strength = abs(float(_plateau_contrast(wz, scratch, ones)))
             g = np.tanh(wz)
-            w_new = (z.T @ g) / n - float(np.mean(1.0 - g**2)) * wc
+            # float(np.mean(...)) with np.mean's overhead taken out.
+            g_prime_mean = float(np.add.reduce(1.0 - g**2)) / n
+            w_new = (z.T @ g) / n - g_prime_mean * wc
             if c:
                 # Project out the already-extracted components.
                 w_new -= w[:c].T @ (w[:c] @ w_new)
-            norm = float(np.linalg.norm(w_new))
-            if not np.isfinite(norm):
+            # np.linalg.norm's arithmetic, sqrt(w.w), minus its overhead.
+            norm = math.sqrt(float(w_new.dot(w_new)))
+            if not math.isfinite(norm):
                 raise ConvergenceError(
                     "FastICA iteration produced non-finite values"
                 )
@@ -391,6 +508,10 @@ def _deflation_fastica(
             w_new /= norm
             done = abs(float(w_new @ wc)) > 1.0 - tolerance
             wc = w_new
+            if check:
+                if strength > best + gain:
+                    best, best_step = strength, step
+                done = done or step - best_step >= PLATEAU_WINDOW
             if done:
                 component_converged = True
                 break

@@ -1,7 +1,7 @@
 """Pre-vectorization reference implementations of the projection kernels.
 
 These are the serial FastICA loops (and the naive log-cosh contrast) the
-batched projection-pursuit kernels replaced, kept verbatim so that
+batched projection-pursuit kernels replaced, kept so that
 
 * property tests can assert the batched kernels match them to 1e-10
   across random shapes, rank-deficient inputs, and zero-variance
@@ -10,6 +10,12 @@ batched projection-pursuit kernels replaced, kept verbatim so that
 * ``repro bench`` can measure the batched/serial speedup on the exact
   code that used to run in production (the numbers committed to
   ``benchmarks/baselines.json`` and ``BENCH_projection.json``).
+
+The serial loops apply the same stop tests as the batched kernel: the
+alignment test, and the plateau test of :mod:`repro.projection.fastica`
+(its constants are the contract, the arithmetic is restated here).
+``plateau=False`` runs the alignment test alone, the rule production used
+before the plateau test, so its views stay reproducible for comparison.
 
 Nothing here is called by the production pipeline.  The block-diagonal
 scatter GEMM's loop opponent lives in
@@ -23,6 +29,17 @@ import numpy as np
 
 from repro.errors import ConvergenceError, DataShapeError
 from repro.linalg import inverse_sqrt_psd
+from repro.projection.fastica import (
+    DIRECT_LOGCOSH_MAX_ROWS,
+    GAUSSIAN_LOGCOSH_MEAN,
+    GAUSSIAN_LOGCOSH_SD,
+    PLATEAU_EVERY,
+    PLATEAU_GAIN,
+    PLATEAU_WINDOW,
+    logcosh_contrast,
+)
+from repro.projection.registry import ICAObjective
+from repro.projection.scores import ica_scores
 
 #: Mirror of :data:`repro.projection.fastica._RANK_TOL` at preservation time.
 _RANK_TOL = 1e-10
@@ -44,37 +61,77 @@ def reference_logcosh_mean(x: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.mean(np.log(np.cosh(x)), axis=axis)
 
 
-def reference_symmetric_fastica(
+def _plateau_gain(n: int) -> float:
+    """The contrast rise that keeps an ``n``-row run going."""
+    return PLATEAU_GAIN * GAUSSIAN_LOGCOSH_SD / float(np.sqrt(n))
+
+
+def _plateau_contrast(wz: np.ndarray) -> np.ndarray:
+    """The contrast the plateau test reads: the naive form where safe."""
+    n = wz.shape[0]
+    if n > DIRECT_LOGCOSH_MAX_ROWS:
+        return logcosh_contrast(wz, axis=0)
+    return np.ones(n) @ np.log(np.cosh(wz)) / n - GAUSSIAN_LOGCOSH_MEAN
+
+
+def _reference_symmetric_run(
     z: np.ndarray,
-    k: int,
+    w: np.ndarray,
     max_iterations: int,
     tolerance: float,
-    rng: np.random.Generator,
+    plateau: bool,
 ) -> tuple[np.ndarray, int, bool]:
-    """Serial parallel-update FastICA with symmetric decorrelation.
+    """One serial symmetric run from the decorrelated start ``w``.
 
-    Verbatim pre-batching ``_symmetric_fastica``: one ``(k, k)`` unmixing
-    matrix, one tanh/matmul pass per iteration, scalar decorrelation.
+    One ``(k, k)`` unmixing matrix, one tanh/matmul pass per iteration,
+    scalar decorrelation.  Every ``PLATEAU_EVERY`` iterations (when
+    ``plateau``) the summed top-2 ``|contrast|`` of the current sources
+    is compared with the best so far; ``PLATEAU_WINDOW`` iterations
+    without a rise above the gain stop the run.
     """
     n = z.shape[0]
-    w = reference_symmetric_decorrelation(rng.standard_normal((k, k)))
+    gain = _plateau_gain(n)
+    best, best_step = -np.inf, 0
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         wz = z @ w.T                                # (n, k) current sources
+        check = plateau and iterations % PLATEAU_EVERY == 0
+        if check:
+            top = np.sort(np.abs(_plateau_contrast(wz)))[::-1][:2]
+            strength = float(np.sum(top))
         g = np.tanh(wz)
         g_prime_mean = np.mean(1.0 - g**2, axis=0)  # (k,)
         w_new = (g.T @ z) / n - g_prime_mean[:, None] * w
         w_new = reference_symmetric_decorrelation(w_new)
         if not np.all(np.isfinite(w_new)):
             raise ConvergenceError("FastICA iteration produced non-finite values")
-        # Convergence: directions stopped rotating (sign-invariant).
+        # Alignment: directions stopped rotating (sign-invariant).
         alignment = np.abs(np.einsum("ij,ij->i", w_new, w))
         w = w_new
-        if np.all(alignment > 1.0 - tolerance):
+        done = bool(np.all(alignment > 1.0 - tolerance))
+        if check:
+            if strength > best + gain:
+                best, best_step = strength, iterations
+            if iterations - best_step >= PLATEAU_WINDOW:
+                done = True
+        if done:
             converged = True
             break
     return w, iterations, converged
+
+
+def reference_symmetric_fastica(
+    z: np.ndarray,
+    k: int,
+    max_iterations: int,
+    tolerance: float,
+    rng: np.random.Generator,
+    plateau: bool = True,
+) -> tuple[np.ndarray, int, bool]:
+    """Serial parallel-update FastICA with symmetric decorrelation."""
+    w = reference_symmetric_decorrelation(rng.standard_normal((k, k)))
+    return _reference_symmetric_run(z, w, max_iterations, tolerance, plateau)
 
 
 def reference_deflation_fastica(
@@ -83,19 +140,29 @@ def reference_deflation_fastica(
     max_iterations: int,
     tolerance: float,
     rng: np.random.Generator,
+    plateau: bool = True,
 ) -> tuple[np.ndarray, int, bool]:
-    """One-at-a-time fixed-point updates with Gram–Schmidt deflation."""
+    """One-at-a-time fixed-point updates with Gram–Schmidt deflation.
+
+    With ``plateau``, each component stops once its own ``|contrast|``
+    has not risen by more than the gain for ``PLATEAU_WINDOW`` iterations.
+    """
     n, dim = z.shape
     w = np.zeros((k, dim))
     total_iterations = 0
     all_converged = True
+    gain = _plateau_gain(n)
     for c in range(k):
         wc = rng.standard_normal(dim)
         wc /= np.linalg.norm(wc)
         component_converged = False
-        for _ in range(max_iterations):
+        best, best_step = -np.inf, 0
+        for step in range(1, max_iterations + 1):
             total_iterations += 1
             wz = z @ wc
+            check = plateau and step % PLATEAU_EVERY == 0
+            if check:
+                strength = abs(float(_plateau_contrast(wz)))
             g = np.tanh(wz)
             w_new = (z.T @ g) / n - float(np.mean(1.0 - g**2)) * wc
             if c:
@@ -111,6 +178,11 @@ def reference_deflation_fastica(
             w_new /= norm
             done = abs(float(w_new @ wc)) > 1.0 - tolerance
             wc = w_new
+            if check:
+                if strength > best + gain:
+                    best, best_step = strength, step
+                if step - best_step >= PLATEAU_WINDOW:
+                    done = True
             if done:
                 component_converged = True
                 break
@@ -161,6 +233,7 @@ def reference_fit_fastica(
     tolerance: float = 1e-6,
     rng: np.random.Generator | None = None,
     algorithm: str = "symmetric",
+    plateau: bool = True,
 ) -> tuple[np.ndarray, int, bool]:
     """The full pre-batching ``fit_fastica`` path.
 
@@ -182,11 +255,11 @@ def reference_fit_fastica(
     z, basis, scale, k = _pca_whiten(arr, n_components)
     if algorithm == "symmetric":
         w, iterations, converged = reference_symmetric_fastica(
-            z, k, max_iterations, tolerance, rng
+            z, k, max_iterations, tolerance, rng, plateau
         )
     else:
         w, iterations, converged = reference_deflation_fastica(
-            z, k, max_iterations, tolerance, rng
+            z, k, max_iterations, tolerance, rng, plateau
         )
     return _components_from_unmixing(w, basis, scale), iterations, converged
 
@@ -196,6 +269,7 @@ def reference_multi_restart_symmetric(
     inits: np.ndarray,
     max_iterations: int,
     tolerance: float,
+    plateau: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Serial multi-restart symmetric FastICA: R independent loop runs.
 
@@ -208,35 +282,59 @@ def reference_multi_restart_symmetric(
     evaluated with the same stable form the production kernel uses so
     that winner selection cannot diverge on ties.
     """
-    from repro.projection.fastica import logcosh_contrast
-
     restarts = inits.shape[0]
-    n = z.shape[0]
     w_all = np.empty_like(inits)
     iterations = np.zeros(restarts, dtype=np.intp)
     converged = np.zeros(restarts, dtype=bool)
     contrast = np.zeros(restarts)
     for r in range(restarts):
-        w = reference_symmetric_decorrelation(inits[r])
-        done = False
-        its = 0
-        for its in range(1, max_iterations + 1):
-            wz = z @ w.T
-            g = np.tanh(wz)
-            g_prime_mean = np.mean(1.0 - g**2, axis=0)
-            w_new = (g.T @ z) / n - g_prime_mean[:, None] * w
-            w_new = reference_symmetric_decorrelation(w_new)
-            if not np.all(np.isfinite(w_new)):
-                raise ConvergenceError(
-                    "FastICA iteration produced non-finite values"
-                )
-            alignment = np.abs(np.einsum("ij,ij->i", w_new, w))
-            w = w_new
-            if np.all(alignment > 1.0 - tolerance):
-                done = True
-                break
+        w, iterations[r], converged[r] = _reference_symmetric_run(
+            z,
+            reference_symmetric_decorrelation(inits[r]),
+            max_iterations,
+            tolerance,
+            plateau,
+        )
         w_all[r] = w
-        iterations[r] = its
-        converged[r] = done
         contrast[r] = float(np.sum(np.abs(logcosh_contrast(z @ w.T, axis=0))))
     return w_all, iterations, converged, contrast
+
+
+def reference_ica_search(
+    whitened: np.ndarray,
+    rng: np.random.Generator,
+    plateau: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Serial :meth:`repro.projection.registry.ICAObjective.find_directions`.
+
+    Runs both variants from the same child generators, keeps the restart
+    (of the default objective's count) with the strongest summed
+    contrast, and returns the ``(components, scores)`` of the basis with
+    the stronger top-2 ``|score|``.  With ``plateau=False`` this is the
+    view the alignment test alone produced.
+    """
+    arr = np.asarray(whitened, dtype=np.float64)
+    restarts = ICAObjective().restarts
+    best: tuple[np.ndarray, np.ndarray] | None = None
+    best_strength = -np.inf
+    for algorithm in ("symmetric", "deflation"):
+        child = np.random.default_rng(rng.integers(0, 2**63))
+        if algorithm == "symmetric":
+            z, basis, scale, k = _pca_whiten(arr, None)
+            inits = child.standard_normal((restarts, k, k))
+            w_all, _, _, contrast = reference_multi_restart_symmetric(
+                z, inits, 500, 1e-6, plateau
+            )
+            w = w_all[int(np.argmax(contrast))]
+            components = _components_from_unmixing(w, basis, scale)
+        else:
+            components, _, _ = reference_fit_fastica(
+                arr, rng=child, algorithm="deflation", plateau=plateau
+            )
+        scores = ica_scores(arr, components)
+        strength = float(np.sum(np.sort(np.abs(scores))[::-1][:2]))
+        if strength > best_strength:
+            best_strength = strength
+            best = (components, scores)
+    assert best is not None
+    return best

@@ -130,6 +130,13 @@ class ICAObjective:
     one stacked tensor iteration (batched multi-restart; this replaced
     the serial one-init-per-variant runs), so seed-unlucky symmetric
     fixed points no longer decide the view.
+
+    Each run stops once its view stops improving by more than a fiftieth
+    of the contrast's gaussian sampling SD (the plateau test of
+    :mod:`repro.projection.fastica`), so directions with no structure
+    left no longer keep a run iterating to its cap.  The winning variant
+    is counted under ``projection.ica_wins_symmetric`` /
+    ``projection.ica_wins_deflation`` (``REPRO_PERF=1``, ``/v1/stats``).
     """
 
     name = "ica"
@@ -148,6 +155,7 @@ class ICAObjective:
     ) -> tuple[np.ndarray, np.ndarray]:
         best: tuple[np.ndarray, np.ndarray] | None = None
         best_strength = -np.inf
+        winner = ""
         for algorithm in ("symmetric", "deflation"):
             # Child generator per variant keeps the two runs independent
             # while remaining reproducible from the caller's generator.
@@ -163,7 +171,9 @@ class ICAObjective:
             if strength > best_strength:
                 best_strength = strength
                 best = (result.components, scores)
+                winner = algorithm
         assert best is not None
+        perf.add(f"projection.ica_wins_{winner}")
         # Scores come along: the search computed them to pick the winner,
         # so the view builder need not re-run the log-cosh pass.
         return best

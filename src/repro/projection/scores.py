@@ -16,34 +16,23 @@ Two scores from the paper:
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 from repro import perf
 from repro.errors import DataShapeError
-from repro.projection.fastica import logcosh
+from repro.projection.fastica import (
+    GAUSSIAN_LOGCOSH_MEAN,
+    GAUSSIAN_LOGCOSH_SD,
+    logcosh,
+)
 from repro.projection.pca import unit_deviation_score
 
 __all__ = [
     "GAUSSIAN_LOGCOSH_MEAN",
+    "GAUSSIAN_LOGCOSH_SD",
     "pca_scores",
     "ica_scores",
     "view_score_summary",
 ]
-
-
-def _gaussian_logcosh_expectation() -> float:
-    """``E[log cosh nu]`` for ``nu ~ N(0,1)``, by adaptive quadrature."""
-    value, _ = quad(
-        lambda x: np.log(np.cosh(x)) * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi),
-        -12.0,
-        12.0,
-    )
-    return float(value)
-
-
-#: ``E[log cosh nu]``, nu ~ N(0,1) ≈ 0.3746 — the gaussian reference level
-#: of the ICA score.  Computed once at import time.
-GAUSSIAN_LOGCOSH_MEAN = _gaussian_logcosh_expectation()
 
 
 def pca_scores(whitened: np.ndarray, directions: np.ndarray) -> np.ndarray:

@@ -58,6 +58,7 @@ from repro.service.worker import WorkerConfig, WorkerRuntime
 from repro.service.store import (
     InvalidSessionIdError,
     MemoryStore,
+    NoStoreError,
     SessionNotFoundError,
     SessionStore,
     StoreError,
@@ -70,6 +71,7 @@ __all__ = [
     "InvalidSessionIdError",
     "L2SolveCache",
     "MemoryStore",
+    "NoStoreError",
     "ProcessWorker",
     "ReproServer",
     "Router",

@@ -105,6 +105,7 @@ from repro.service.manager import (
 )
 from repro.service.store import (
     InvalidSessionIdError,
+    NoStoreError,
     SessionNotFoundError,
     StoreError,
 )
@@ -360,6 +361,8 @@ class ServiceAPI:
             return 404, {"error": str(exc)}, "unknown_dataset"
         except SessionExistsError as exc:
             return 409, {"error": str(exc)}, "session_exists"
+        except NoStoreError as exc:
+            return 409, {"error": str(exc)}, "no_store"
         except (
             DataShapeError,
             ConstraintError,
@@ -374,9 +377,10 @@ class ServiceAPI:
             # Damaged or unusable persistent state (corrupt checkpoint,
             # failed WAL append, recovery refusal) — still a server fault,
             # but tagged distinctly so operators can alert on storage rot
-            # separately from handler bugs.  InvalidSessionIdError, though
-            # a StoreError subclass, is caught as a 400 above: a bad id in
-            # the request is the client's fault, not the store's.
+            # separately from handler bugs.  InvalidSessionIdError and
+            # NoStoreError, though StoreError subclasses, are caught as a
+            # 400 and a 409 above: a bad id in the request, or a
+            # checkpoint on a manager run without a store, is not damage.
             return (
                 500,
                 {"error": f"{type(exc).__name__}: {exc}"},

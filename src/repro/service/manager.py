@@ -61,6 +61,7 @@ from repro.io import data_fingerprint, session_from_payload, session_to_payload
 from repro.projection.view import Projection2D
 from repro.service.cache import SolveCache
 from repro.service.store import (
+    NoStoreError,
     SessionNotFoundError,
     SessionStore,
     StoreError,
@@ -593,7 +594,7 @@ class SessionManager:
     def checkpoint(self, session_id: str) -> None:
         """Persist one session's knowledge state to the store now."""
         if self.store is None:
-            raise StoreError("no session store attached to this manager")
+            raise NoStoreError("no session store attached to this manager")
         with self._checkout(session_id) as entry:
             self._checkpoint_entry(entry)
 

@@ -36,6 +36,14 @@ class InvalidSessionIdError(StoreError):
     """A session id is unsafe to use as a key (caller error, not I/O)."""
 
 
+class NoStoreError(StoreError):
+    """The operation needs a session store and none is attached.
+
+    Running without a store is a configuration the caller chose, not
+    damaged storage, so the API answers it with a 409.
+    """
+
+
 def validate_session_id(session_id: str) -> str:
     """Return the id unchanged, or raise :class:`InvalidSessionIdError`."""
     if not isinstance(session_id, str) or not _ID_PATTERN.match(session_id):

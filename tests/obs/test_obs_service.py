@@ -227,6 +227,20 @@ class TestErrorEvents:
             client.create_session("missing-dataset")
         assert _events(path)[-1]["error_kind"] == "unknown_dataset"
 
+    def test_checkpoint_without_store_is_409_not_corrupt_store(
+        self, data, obs_log
+    ):
+        """A manager run without a store is a configuration, not rot."""
+        _, path = obs_log
+        api = ServiceAPI(SessionManager({"demo": data}))
+        status, payload = api.dispatch("POST", "/v1/sessions/s1/checkpoint")
+        assert status == 409
+        assert "no session store" in payload["error"]
+        event = _events(path)[-1]
+        assert event["status"] == 409
+        assert event["error_kind"] == "no_store"
+        assert event["error_kind"] != "corrupt_store"
+
 
 class TestMetricsEndpoint:
     def test_prometheus_scrape_parses_and_counts(self, live):

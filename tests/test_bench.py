@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro.bench as bench
+from repro import perf
 from repro.cli import main
 from repro.core.equivalence import build_equivalence_classes
 
@@ -71,6 +72,30 @@ class TestSuite:
         assert path.name == "BENCH_projection.json"
         saved = json.loads(path.read_text())
         assert saved["workload"]["restarts"] == _TINY_PROJECTION["restarts"]
+
+    def test_projection_rows_compare_equal_work(self, monkeypatch):
+        """Both sides of each FastICA row run the same iterations.
+
+        The plateau test stops runs whatever the tolerance, so a serial
+        side that started elsewhere would stop elsewhere and the speedup
+        would compare unequal work.  The cap sits above the plateau
+        window so the plateau test, not the cap, ends the runs.
+        """
+        sizes = dict(_TINY_PROJECTION, n=400, d=5, restarts=3, iterations=200)
+        monkeypatch.setitem(bench.PROJECTION_SIZES, "quick", sizes)
+        its = bench.run_projection_suite(quick=True, seed=0)["iterations"]
+        assert its["fastica_vectorized"] == its["fastica_reference"]
+        assert (
+            its["fastica_restarts_vectorized"]
+            == its["fastica_restarts_reference"]
+        )
+        assert 0 < its["fastica_vectorized"] < sizes["iterations"]
+        # Every restart counts, not only the winner (restart 0 starts
+        # where the single run does).
+        assert its["fastica_restarts_vectorized"] > its["fastica_vectorized"]
+        # Counting switched perf on for one call only.
+        assert not perf.is_enabled()
+        assert perf.snapshot() == {"timings": {}, "counters": {}}
 
     def test_obs_payload_shape_and_artifact(self, tiny_sizes, tmp_path):
         payload = bench.run_obs_suite(quick=True, seed=0)

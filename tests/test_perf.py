@@ -257,6 +257,72 @@ class TestProjectionInstrumentation:
             perf.disable()
             perf.reset()
 
+    def test_stats_surface_fastica_stop_counters(self, tmp_path):
+        """Capped runs and the winning variant show in /v1/stats, and per
+        worker when sharded."""
+        import os
+
+        from repro.datasets import three_d_clusters
+        from repro.service import SessionManager
+        from repro.service.api import ServiceAPI
+        from repro.service.router import InProcessWorker, Router, WorkerPool
+
+        def counters(stats):
+            return stats["perf"]["counters"]
+
+        def searched(c):
+            return c.get("projection.ica_wins_symmetric", 0) + c.get(
+                "projection.ica_wins_deflation", 0
+            )
+
+        datasets = {"three-d": lambda: three_d_clusters(seed=0)}
+        perf.enable()
+        perf.reset()
+        try:
+            api = ServiceAPI(SessionManager(datasets))
+            status, created = api.dispatch(
+                "POST", "/v1/sessions",
+                body={"dataset": "three-d", "objective": "ica"},
+            )
+            assert status == 201
+            api.dispatch("GET", f"/v1/sessions/{created['session_id']}/view")
+            status, stats = api.dispatch("GET", "/v1/stats")
+            assert status == 200
+            assert counters(stats)["projection.fastica_capped"] == 0
+            assert searched(counters(stats)) == 1
+
+            socket_dir = str(tmp_path / "socks")
+            os.makedirs(socket_dir)
+
+            def factory(worker_id):
+                manager = SessionManager(datasets)
+                return InProcessWorker(
+                    ServiceAPI(manager), manager, worker_id, socket_dir
+                )
+
+            router = Router(WorkerPool(2, factory), dataset_names=["three-d"])
+            try:
+                status, created = router.dispatch(
+                    "POST", "/v1/sessions",
+                    body={"dataset": "three-d", "objective": "ica"},
+                )
+                assert status == 201
+                router.dispatch(
+                    "GET", f"/v1/sessions/{created['session_id']}/view"
+                )
+                status, stats = router.dispatch("GET", "/v1/stats")
+                assert status == 200
+                # In-process workers share this process's registry, so
+                # each reports both searches run so far.
+                for worker in stats["workers"]:
+                    assert "projection.fastica_capped" in counters(worker)
+                    assert searched(counters(worker)) >= 2
+            finally:
+                router.close()
+        finally:
+            perf.disable()
+            perf.reset()
+
     def test_service_stats_surface_projection_timers(self):
         """GET /v1/stats exposes projection/* when REPRO_PERF is on."""
         from repro.datasets import three_d_clusters
