@@ -943,12 +943,11 @@ def run_service_suite(quick: bool = False, seed: int = 0) -> dict:
     ``view_p99_s`` and the absolute throughputs ride along
     informationally.  Writes ``BENCH_service.json``.
     """
-    import os
     import tempfile
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.obs.slo import INTERACTIVITY_BUDGET_SECONDS
-    from repro.service.router import ProcessWorker, Router, WorkerPool
+    from repro.service.router import start_fleet
     from repro.service.worker import WorkerConfig
 
     size = (
@@ -958,23 +957,14 @@ def run_service_suite(quick: bool = False, seed: int = 0) -> dict:
     )
 
     def run_fleet(n_workers: int) -> dict:
-        sockdir = tempfile.mkdtemp(prefix="repro-bench-shard-")
-
-        def factory(worker_id: int) -> ProcessWorker:
-            return ProcessWorker(
-                WorkerConfig(
-                    worker_id=worker_id,
-                    socket_path=os.path.join(
-                        sockdir, f"worker-{worker_id}.sock"
-                    ),
-                )
-            )
-
-        pool = WorkerPool(n_workers, factory)
-        router = Router(pool, shared_store=False)
+        router = start_fleet(
+            n_workers,
+            WorkerConfig(),
+            tempfile.mkdtemp(prefix="repro-bench-shard-"),
+        )
         view_latencies: list[float] = []
         try:
-            worker0 = pool.worker(0)
+            worker0 = router.pool.worker(0)
             started = time.perf_counter()
             for _ in range(size["pings"]):
                 worker0.call({"op": "ping"})

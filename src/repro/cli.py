@@ -830,45 +830,34 @@ def cmd_loadgen(
             file=sys.stderr,
         )
     server = None
-    router = None
-    if url is None and serve_workers > 1:
-        import os
-        import tempfile
+    if url is None:
+        from repro.service import ReproServer, ServiceAPI, SessionManager
 
-        from repro.service import ReproServer
-        from repro.service.router import ProcessWorker, Router, WorkerPool
-        from repro.service.worker import WorkerConfig
+        if serve_workers > 1:
+            import os
+            import tempfile
 
-        runtime_dir = tempfile.mkdtemp(prefix="repro-loadgen-shard-")
-        store_url = f"sqlite:{os.path.join(runtime_dir, 'store.db')}"
-        l2_path = os.path.join(runtime_dir, "solve-cache.db")
+            from repro.service.router import start_fleet
+            from repro.service.worker import WorkerConfig
 
-        def _factory(worker_id: int) -> ProcessWorker:
-            return ProcessWorker(
-                WorkerConfig(
-                    worker_id=worker_id,
-                    socket_path=os.path.join(
-                        runtime_dir, f"worker-{worker_id}.sock"
-                    ),
-                    store_url=store_url,
-                    l2_cache_path=l2_path,
-                    obs=obs_enabled,
-                )
+            runtime_dir = tempfile.mkdtemp(prefix="repro-loadgen-shard-")
+            print(
+                f"starting temporary sharded service ({serve_workers} "
+                "workers) ..."
             )
-
-        print(f"starting temporary sharded service ({serve_workers} workers) ...")
-        router = Router(
-            WorkerPool(serve_workers, _factory),
-            shared_store=True,
-            dataset_names=sorted(DATASETS),
-        )
-        server = ReproServer(router, port=0).start_background()
-        url = server.base_url
-        print(f"started temporary sharded service on {url}")
-    elif url is None:
-        from repro.service import SessionManager, start_background
-
-        server = start_background(SessionManager(DATASETS))
+            door = start_fleet(
+                serve_workers,
+                WorkerConfig(
+                    store_url=f"sqlite:{os.path.join(runtime_dir, 'store.db')}",
+                    l2_cache_path=os.path.join(runtime_dir, "solve-cache.db"),
+                    obs=obs_enabled,
+                ),
+                runtime_dir,
+                dataset_names=sorted(DATASETS),
+            )
+        else:
+            door = ServiceAPI(SessionManager(DATASETS))
+        server = ReproServer(door, port=0).start_background()
         url = server.base_url
         print(f"started temporary service on {url}")
     try:
@@ -898,8 +887,7 @@ def cmd_loadgen(
     finally:
         if server is not None:
             server.stop()
-        if router is not None:
-            router.close()
+            server.api.close()
         if configured_obs:
             from repro import obs as obs_module
 
@@ -952,167 +940,180 @@ def cmd_bench(
     return status
 
 
-def cmd_serve(
-    host: str,
-    port: int,
-    max_sessions: int,
-    ttl: float | None,
-    cache_size: int,
-    obs_enabled: bool = False,
-    obs_log: str | None = None,
-    slow_ms: float = 500.0,
-    store_url: str | None = None,
-    fsync: str = "batch",
-    obs_rotate_mb: float | None = None,
-    history_interval: float = 1.0,
-    history_capacity: int = 600,
-    view_p99_budget: float | None = None,
-    profile: bool = False,
-    profile_hz: float = 100.0,
-    default_deadline_ms: float | None = None,
-    max_inflight: int | None = None,
-    drain_budget: float | None = None,
-    workers: int = 1,
-    l2_cache: str | None = None,
-) -> int:
+#: ``repro serve`` options that set up the process running the requests
+#: beyond what a :class:`~repro.service.worker.WorkerConfig` carries.
+#: With ``--workers N`` the workers run the requests, so these options
+#: are refused rather than silently ignored.
+_SINGLE_PROCESS_OPTIONS = (
+    "profile",
+    "profile_hz",
+    "obs_rotate_mb",
+    "history_interval",
+    "history_capacity",
+    "view_p99_budget",
+)
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    """``repro serve``: one front door, over this process or N workers."""
     import os
     import signal
-    import threading
+    import tempfile
+    from dataclasses import replace
 
-    from repro.resilience import (
-        AdmissionController,
-        run_drain,
-    )
-    from repro.resilience import chaos as chaos_module
-    from repro.resilience.drain import DEFAULT_DRAIN_BUDGET
-    from repro.service import (
-        ReproServer,
-        ServiceAPI,
-        SessionManager,
-        SolveCache,
-        serve,
-    )
-    from repro.service.cache import L2SolveCache
+    from repro import obs
+    from repro.resilience import chaos
+    from repro.resilience.admission import AdmissionController
+    from repro.resilience.drain import DEFAULT_DRAIN_BUDGET, drain_budget_seconds
+    from repro.service import ReproServer, serve
+    from repro.service.router import WorkerDiedError, start_fleet
     from repro.service.store import StoreError
+    from repro.service.worker import WorkerConfig, build_worker_api
+    from repro.store import store_from_url
 
-    if drain_budget is None:
-        drain_budget = DEFAULT_DRAIN_BUDGET
-
-    if workers < 1:
-        print(f"--workers must be >= 1, got {workers}", file=sys.stderr)
+    if args.workers < 1:
+        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
-    if workers > 1:
-        return _cmd_serve_sharded(
-            host=host,
-            port=port,
-            workers=workers,
-            store_url=store_url,
-            fsync=fsync,
-            max_sessions=max_sessions,
-            ttl=ttl,
-            cache_size=cache_size,
-            l2_cache=l2_cache,
-            obs_enabled=obs_enabled,
-            obs_log=obs_log,
-            slow_ms=slow_ms,
-            default_deadline_ms=default_deadline_ms,
-            max_inflight=max_inflight,
-            drain_budget=drain_budget,
+    defaults = build_parser().parse_args(["serve"])
+    given = [
+        "--" + option.replace("_", "-")
+        for option in _SINGLE_PROCESS_OPTIONS
+        if getattr(args, option) != getattr(defaults, option)
+    ]
+    if args.workers > 1 and given:
+        print(
+            f"{', '.join(given)}: single-process only, not supported "
+            f"with --workers {args.workers}",
+            file=sys.stderr,
         )
-    store = None
-    if store_url is not None:
-        from repro.store import store_from_url
-
+        return 2
+    try:
+        drain_budget = drain_budget_seconds(
+            DEFAULT_DRAIN_BUDGET if args.drain_budget is None else args.drain_budget
+        )
+    except ValueError as exc:
+        print(f"--drain-budget: {exc}", file=sys.stderr)
+        return 2
+    if args.store is not None:
+        # Open the store here, where a bad URL gets a readable error:
+        # workers failing to open it would only report "never ready".
         try:
-            store = store_from_url(store_url, fsync=fsync)
+            store_from_url(args.store, fsync=args.fsync).close()
         except StoreError as exc:
             print(str(exc), file=sys.stderr)
             return 2
 
-    if obs_enabled or obs_log is not None:
-        from repro import obs as obs_module
-        from repro.obs.slo import default_slos
+    obs_enabled = args.obs or args.obs_log is not None
+    config = WorkerConfig(
+        store_url=args.store,
+        fsync=args.fsync,
+        cache_size=args.cache_size,
+        l2_cache_path=args.l2_cache,
+        max_sessions=args.max_sessions,
+        ttl_seconds=args.ttl,
+        default_deadline_ms=args.default_deadline_ms,
+        obs=obs_enabled,
+        obs_log=args.obs_log,
+        slow_ms=args.slow_ms,
+    )
+    admission = AdmissionController(max_inflight=args.max_inflight)
+    if args.workers == 1:
+        # This process runs the requests, so it gets their whole set-up.
+        if obs_enabled:
+            from repro.obs.slo import default_slos
 
-        slos = default_slos(**(
-            {"view_p99_budget": view_p99_budget}
-            if view_p99_budget is not None else {}
-        ))
-        obs_module.configure(
-            event_log=obs_log,
-            slow_ms=slow_ms,
-            event_log_max_bytes=(
-                int(obs_rotate_mb * 1024 * 1024)
-                if obs_rotate_mb and obs_log else None
-            ),
-            slos=slos,
-            history_interval=history_interval,
-            history_capacity=history_capacity,
+            obs.configure(
+                event_log=args.obs_log,
+                slow_ms=args.slow_ms,
+                event_log_max_bytes=(
+                    int(args.obs_rotate_mb * 1024 * 1024)
+                    if args.obs_rotate_mb and args.obs_log else None
+                ),
+                slos=default_slos(**(
+                    {"view_p99_budget": args.view_p99_budget}
+                    if args.view_p99_budget is not None else {}
+                )),
+                history_interval=args.history_interval,
+                history_capacity=args.history_capacity,
+            )
+            print(
+                "observability: tracing on, metrics at /v1/metrics, history "
+                "at /v1/metrics/history, SLOs in /v1/health"
+                + (f", events -> {args.obs_log}" if args.obs_log else "")
+            )
+        if args.profile:
+            obs.start_profiler(interval=1.0 / args.profile_hz)
+            print(
+                f"profiler: sampling at {args.profile_hz:g} Hz, collapsed "
+                "stacks at /v1/profile"
+            )
+        chaos_registry = chaos.configure_from_env(os.environ)
+        if chaos_registry is not None:
+            print(
+                "CHAOS INJECTION ACTIVE (REPRO_CHAOS): "
+                + "; ".join(str(f.to_dict()) for f in chaos_registry.faults)
+            )
+        door = build_worker_api(
+            config, admission=admission, drain_budget=drain_budget
         )
-    if profile:
-        from repro import obs as obs_module
+    else:
+        # The workers run the requests and set themselves up from the
+        # config (worker_main); this process only counts what it sheds.
+        if obs_enabled:
+            obs.configure(slow_ms=args.slow_ms)
+        runtime_dir = tempfile.mkdtemp(prefix="repro-shard-")
+        if config.cache_size > 0 and config.l2_cache_path is None:
+            config = replace(
+                config,
+                l2_cache_path=os.path.join(runtime_dir, "solve-cache.db"),
+            )
+        print(
+            f"starting {args.workers} worker process(es): sticky session "
+            "routing, "
+            + (
+                "rebalance + recovery on worker death"
+                if config.store_url is not None
+                else "static ring (no shared store: sessions die with "
+                "their worker)"
+            )
+        )
+        try:
+            door = start_fleet(
+                args.workers,
+                config,
+                runtime_dir,
+                admission=admission,
+                drain_budget=drain_budget,
+                dataset_names=sorted(DATASETS),
+            )
+        except WorkerDiedError as exc:
+            print(f"failed to start worker pool: {exc}", file=sys.stderr)
+            return 2
 
-        obs_module.start_profiler(interval=1.0 / profile_hz)
-    chaos_registry = chaos_module.configure_from_env(os.environ)
-    cache = None
-    if cache_size > 0:
-        l2 = L2SolveCache(l2_cache) if l2_cache else None
-        cache = SolveCache(max_entries=cache_size, l2=l2)
-    manager = SessionManager(
-        DATASETS,
-        store=store,
-        cache=cache,
-        max_sessions=max_sessions,
-        ttl_seconds=ttl,
-    )
-    api = ServiceAPI(
-        manager,
-        admission=AdmissionController(max_inflight=max_inflight),
-        default_deadline_ms=default_deadline_ms,
-        drain_budget=drain_budget,
-    )
-    server = ReproServer(api, host=host, port=port, quiet=False)
-    # POST /v1/admin/drain stops the serve loop once the drain finishes.
-    api.shutdown_hook = server.shutdown
-    actual_port = server.server_address[1]
-    print(f"repro service on http://{host}:{actual_port}")
+    server = ReproServer(door, host=args.host, port=args.port, quiet=False)
+    print(f"repro service on http://{args.host}:{server.server_address[1]}")
     print("routes: /v1/...")
-    print(f"datasets:   {', '.join(manager.dataset_names())}")
+    print(f"datasets:   {', '.join(sorted(DATASETS))}")
     print(f"objectives: {', '.join(registry.names())}")
-    if store is not None:
-        durability = f", fsync={fsync}" if manager.durable else ""
-        print(f"store: {store_url}{durability}")
-    if obs_enabled or obs_log is not None:
+    if args.store is not None:
+        print(f"store: {args.store}, fsync={args.fsync}")
+    if config.cache_size > 0 and config.l2_cache_path:
         print(
-            "observability: tracing on, metrics at /v1/metrics, history at "
-            "/v1/metrics/history, SLOs in /v1/health"
-            + (f", events -> {obs_log}" if obs_log else "")
+            f"solve cache: L1 {config.cache_size} entries per process + "
+            f"shared L2 at {config.l2_cache_path}"
         )
-    if profile:
-        print(
-            f"profiler: sampling at {profile_hz:g} Hz, collapsed stacks "
-            "at /v1/profile"
-        )
-    if max_inflight is not None or default_deadline_ms is not None:
+    if args.max_inflight is not None or args.default_deadline_ms is not None:
         print(
             "resilience: "
-            f"max-inflight={max_inflight if max_inflight else 'unbounded'}, "
-            f"default-deadline-ms={default_deadline_ms or 'none'}, "
+            f"max-inflight={args.max_inflight or 'unbounded'}, "
+            f"default-deadline-ms={args.default_deadline_ms or 'none'}, "
             f"drain-budget={drain_budget:g}s"
         )
-    if chaos_registry is not None:
-        print(
-            "CHAOS INJECTION ACTIVE (REPRO_CHAOS): "
-            + "; ".join(str(f.to_dict()) for f in chaos_registry.faults)
-        )
 
-    def checkpoint_on_shutdown() -> None:
-        if manager.store is not None:
-            print(f"checkpointed {manager.checkpoint_all()} session(s)")
-
-    def drain_in_background() -> None:
-        report = run_drain(api.admission, manager, budget_seconds=drain_budget)
-        # Report first: once the serve loop stops, the process exits and
-        # takes this daemon thread with it.
+    def stop_serving() -> None:
+        # Fired once the drain's report is published: print it before
+        # the serve loop stops, since the process exits right after.
+        report = door.last_drain
         print(
             f"drained: {report['checkpointed']} session(s) checkpointed, "
             f"{report['abandoned_inflight']} request(s) abandoned, "
@@ -1121,160 +1122,20 @@ def cmd_serve(
         server.shutdown()
 
     def handle_sigterm(signum, frame) -> None:
-        # Graceful drain: stop admitting, let in-flight requests finish
-        # inside the budget, checkpoint, then stop the serve loop.  Runs
-        # on its own thread — server.shutdown() would deadlock if called
+        # Graceful drain on its own thread (start_drain): stop admitting,
+        # let in-flight requests finish inside the budget, checkpoint,
+        # then stop_serving.  server.shutdown() would deadlock if called
         # from a signal handler interrupting serve_forever's poll loop.
         print(f"SIGTERM: draining (budget {drain_budget:g}s) ...")
-        threading.Thread(
-            target=drain_in_background, name="repro-sigterm-drain",
-            daemon=True,
-        ).start()
+        door.start_drain()
 
+    door.shutdown_hook = stop_serving
     try:
         previous = signal.signal(signal.SIGTERM, handle_sigterm)
     except ValueError:
         previous = None  # not the main thread (embedded use); no handler
     try:
-        serve(server, on_shutdown=checkpoint_on_shutdown)
-    finally:
-        if previous is not None:
-            signal.signal(signal.SIGTERM, previous)
-    return 0
-
-
-def _cmd_serve_sharded(
-    host: str,
-    port: int,
-    workers: int,
-    store_url: str | None,
-    fsync: str,
-    max_sessions: int,
-    ttl: float | None,
-    cache_size: int,
-    l2_cache: str | None,
-    obs_enabled: bool,
-    obs_log: str | None,
-    slow_ms: float,
-    default_deadline_ms: float | None,
-    max_inflight: int | None,
-    drain_budget: float,
-) -> int:
-    """``repro serve --workers N``: router front-end + worker processes."""
-    import os
-    import signal
-    import tempfile
-    import threading
-
-    from repro.resilience.admission import AdmissionController
-    from repro.service import ReproServer, serve
-    from repro.service.router import ProcessWorker, Router, WorkerPool
-    from repro.service.store import StoreError
-    from repro.service.worker import WorkerConfig
-
-    if store_url is not None:
-        # Validate the URL here, where the error message is readable —
-        # workers opening a broken store would only report "never ready".
-        from repro.store import store_from_url
-
-        try:
-            store_from_url(store_url, fsync=fsync).close()
-        except StoreError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    shared_store = store_url is not None
-    runtime_dir = tempfile.mkdtemp(prefix="repro-shard-")
-    if cache_size > 0 and l2_cache is None:
-        l2_cache = os.path.join(runtime_dir, "solve-cache.db")
-
-    if obs_enabled or obs_log is not None:
-        # Router-side observability: shed counters and the merge source
-        # label; each worker configures its own registry (WorkerConfig).
-        from repro import obs as obs_module
-
-        obs_module.configure(slow_ms=slow_ms)
-
-    def factory(worker_id: int) -> ProcessWorker:
-        return ProcessWorker(
-            WorkerConfig(
-                worker_id=worker_id,
-                socket_path=os.path.join(
-                    runtime_dir, f"worker-{worker_id}.sock"
-                ),
-                store_url=store_url,
-                fsync=fsync,
-                cache_size=cache_size,
-                l2_cache_path=l2_cache if cache_size > 0 else None,
-                max_sessions=max_sessions,
-                ttl_seconds=ttl,
-                default_deadline_ms=default_deadline_ms,
-                obs=obs_enabled or obs_log is not None,
-                obs_log=(
-                    f"{obs_log}.worker{worker_id}" if obs_log else None
-                ),
-                slow_ms=slow_ms,
-            )
-        )
-
-    print(f"starting {workers} worker process(es) ...")
-    try:
-        pool = WorkerPool(workers, factory)
-    except Exception as exc:  # noqa: BLE001 — report and exit cleanly
-        print(f"failed to start worker pool: {exc}", file=sys.stderr)
-        return 2
-    router = Router(
-        pool,
-        shared_store=shared_store,
-        admission=AdmissionController(max_inflight=max_inflight),
-        drain_budget=drain_budget,
-        dataset_names=sorted(DATASETS),
-    )
-    server = ReproServer(router, host=host, port=port, quiet=False)
-    # POST /v1/admin/drain stops the serve loop once the fleet drains.
-    router.shutdown_hook = server.shutdown
-    actual_port = server.server_address[1]
-    print(f"repro sharded service on http://{host}:{actual_port}")
-    print(
-        f"workers: {workers} (sticky session routing, "
-        + (
-            "rebalance + recovery on worker death"
-            if shared_store
-            else "static ring — no shared store, sessions die with "
-            "their worker"
-        )
-        + ")"
-    )
-    if store_url is not None:
-        print(f"store: {store_url} (shared, fsync={fsync})")
-    if cache_size > 0 and l2_cache:
-        print(
-            f"solve cache: L1 {cache_size} entries/worker + shared L2 "
-            f"at {l2_cache}"
-        )
-
-    def drain_in_background() -> None:
-        report = router.drain(drain_budget)
-        print(
-            f"drained: {report['checkpointed']} session(s) checkpointed "
-            f"across {len(report['workers'])} worker(s), "
-            f"{report['abandoned_inflight']} request(s) abandoned, "
-            f"{report['elapsed_seconds']:.2f}s elapsed"
-        )
-        server.shutdown()
-
-    def handle_sigterm(signum, frame) -> None:
-        print(f"SIGTERM: draining fleet (budget {drain_budget:g}s) ...")
-        threading.Thread(
-            target=drain_in_background, name="repro-sigterm-drain",
-            daemon=True,
-        ).start()
-
-    try:
-        previous = signal.signal(signal.SIGTERM, handle_sigterm)
-    except ValueError:
-        previous = None  # not the main thread (embedded use)
-    try:
-        serve(server, on_shutdown=router.close)
+        serve(server, on_shutdown=door.close)
     finally:
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
@@ -1642,29 +1503,7 @@ def main(argv: list[str] | None = None) -> int:
             args.suite,
         )
     if args.command == "serve":
-        return cmd_serve(
-            args.host,
-            args.port,
-            args.max_sessions,
-            args.ttl,
-            args.cache_size,
-            args.obs,
-            args.obs_log,
-            args.slow_ms,
-            args.store,
-            args.fsync,
-            args.obs_rotate_mb,
-            args.history_interval,
-            args.history_capacity,
-            args.view_p99_budget,
-            args.profile,
-            args.profile_hz,
-            args.default_deadline_ms,
-            args.max_inflight,
-            args.drain_budget,
-            args.workers,
-            args.l2_cache,
-        )
+        return cmd_serve(args)
     if args.command == "store":
         return cmd_store(
             args.store_command,

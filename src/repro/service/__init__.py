@@ -10,14 +10,15 @@ Layering (each stratum usable on its own):
              (the durable backend is :mod:`repro.store`'s SQLite store)
 ``cache``    :class:`SolveCache` — reuse fitted background models
 ``manager``  :class:`SessionManager` — locks, LRU eviction, TTL, resume
-``api``      :class:`ServiceAPI` — transport-agnostic JSON routing,
-             every route under ``/v1``
+``api``      :class:`ServiceAPI` — the front door: transport-agnostic
+             JSON routing, every route under ``/v1``, admission, drain
 ``server``   :class:`ReproServer` — ``ThreadingHTTPServer`` front-end
 ``client``   :class:`ServiceClient` — urllib-based Python client
 ``rpc``      length-prefixed JSON frames over Unix sockets (shard link)
 ``worker``   :class:`WorkerRuntime` — one shard's service stack over RPC
-``router``   :class:`Router` — sticky-session front-end over a
-             :class:`WorkerPool` (``repro serve --workers N``)
+``router``   :class:`Router` — the ``ServiceAPI`` front door over a
+             :class:`WorkerPool`: fleet routes answered, the rest
+             forwarded with sticky sessions (``repro serve --workers N``)
 
 The ``/v1`` API speaks the unified vocabularies end-to-end: view
 objectives come from :mod:`repro.projection.registry`

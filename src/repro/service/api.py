@@ -6,6 +6,14 @@ HTTP-shaped request (method, path, query, decoded JSON body) and returns
 :mod:`repro.service.server` is one front-end; tests can call ``dispatch``
 directly without opening a socket.
 
+``ServiceAPI`` is the one front door of the service.  The sharded
+:class:`~repro.service.router.Router` subclasses it and keeps everything
+``dispatch`` does — version routing, 404/405, admission with its 503
+shed replies, deadlines, the error taxonomy, ``POST /v1/admin/drain``
+and the drain sequence (:meth:`ServiceAPI.drain`) — overriding only its
+route table, the fleet handlers and the drain's last step,
+:meth:`ServiceAPI.checkpoint_all`.
+
 Routes (all versioned under ``/v1``)
 ------------------------------------
 ==========  ====================================  ===============================
@@ -49,13 +57,14 @@ live server.  ``GET /v1/health`` stays exactly ``{"status": "ok"}``
 unless the SLO engine is on, in which case it carries the full SLO
 report (``status`` becomes ``ready``/``degraded``/``violating``).
 
-Observability: when :mod:`repro.obs` is enabled, every dispatch runs
-inside a request envelope — a per-request trace (id from the transport,
-or minted) collects the perf-timer spans fired while handling it, the
-per-route metrics are updated, and one structured event is emitted to
-the JSONL sink; 4xx/5xx responses emit a typed ``error`` event instead.
-The response payloads themselves are byte-identical with observability
-on or off.
+Observability: when :mod:`repro.obs` is enabled, every dispatch in the
+process that runs the request (``records_requests``; not the router)
+runs inside a request envelope — a per-request trace (id from the
+transport, or minted) collects the perf-timer spans fired while
+handling it, the per-route metrics are updated, and one structured
+event is emitted to the JSONL sink; 4xx/5xx responses emit a typed
+``error`` event instead.  The response payloads themselves are
+byte-identical with observability on or off.
 
 The view route accepts ``?objective=<name>`` (rank with a different
 registered objective) and ``?detail=1`` (include ``row_surprise`` and
@@ -95,6 +104,7 @@ from repro.resilience.chaos import ChaosError
 from repro.resilience.deadline import DeadlineExceededError, deadline_scope
 from repro.resilience.drain import (
     DEFAULT_DRAIN_BUDGET,
+    drain_budget_seconds,
     publish_drain_then_stop,
     run_drain,
 )
@@ -126,15 +136,17 @@ _EXEMPT_PATHS = frozenset(
         "/metrics/history",
         "/profile",
         "/stats",
+        "/workers",
         "/admin/drain",
     }
 )
 
 _SESSION_PATH = re.compile(r"^/sessions/(?P<sid>[^/]+)(?P<rest>(?:/[^/]+)?)$")
 
-#: Per-thread request context: carries the idempotency key from
-#: ``dispatch`` down to the feedback handler without widening every
-#: handler signature.
+#: Per-thread request context: ``request`` is the dispatched request's
+#: method, path, trace id, deadline and idempotency key, read by the
+#: handlers that need them (the feedback route, the router's forward)
+#: without widening every handler signature.
 _request_ctx = threading.local()
 
 
@@ -202,9 +214,14 @@ class ServiceAPI:
         Seconds the drain sequence waits for in-flight work.
     """
 
+    #: Whether ``dispatch`` runs each request in an observability
+    #: envelope.  The process that runs a request records it; a front
+    #: door that only forwards it (the sharded router) does not.
+    records_requests = True
+
     def __init__(
         self,
-        manager: SessionManager,
+        manager: SessionManager | None,
         *,
         admission: AdmissionController | None = None,
         default_deadline_ms: float | None = None,
@@ -215,7 +232,7 @@ class ServiceAPI:
             admission if admission is not None else AdmissionController()
         )
         self.default_deadline_ms = default_deadline_ms
-        self.drain_budget = float(drain_budget)
+        self.drain_budget = drain_budget_seconds(drain_budget)
         # Set by the serving layer: called once a drain's report is
         # recorded, to stop the HTTP server / exit the process.
         self.shutdown_hook = None
@@ -251,15 +268,15 @@ class ServiceAPI:
         query = query if query is not None else {}
         method = method.upper()
         perf.add("api.requests")
-        if obs.active() is None:
+        if not self.records_requests or obs.active() is None:
             status, payload, _kind = self._dispatch(
-                method, path, body, query,
+                method, path, body, query, trace_id=trace_id,
                 deadline_ms=deadline_ms, idempotency_key=idempotency_key,
             )
             return status, payload
         with obs.request_envelope(method, path, trace_id) as req:
             status, payload, kind = self._dispatch(
-                method, path, body, query,
+                method, path, body, query, trace_id=trace_id,
                 deadline_ms=deadline_ms, idempotency_key=idempotency_key,
             )
             error = payload.get("error") if isinstance(payload, dict) else None
@@ -272,6 +289,7 @@ class ServiceAPI:
         path: str,
         body: dict,
         query: dict,
+        trace_id: str | None = None,
         deadline_ms: float | None = None,
         idempotency_key: str | None = None,
     ) -> tuple[int, dict, str | None]:
@@ -314,13 +332,19 @@ class ServiceAPI:
                 if deadline_ms is not None
                 else self.default_deadline_ms
             )
-            _request_ctx.idempotency_key = idempotency_key
+            _request_ctx.request = {
+                "method": method,
+                "path": path,
+                "trace_id": trace_id,
+                "deadline_ms": deadline_ms,
+                "idempotency_key": idempotency_key,
+            }
             try:
                 with self.admission.admit(exempt=exempt):
                     with deadline_scope(None if exempt else budget):
                         status, payload = handler(body, query)
             finally:
-                _request_ctx.idempotency_key = None
+                _request_ctx.request = None
             return status, payload, None
         except DeadlineExceededError as exc:
             # No retry_after: resending the same budget would burn it
@@ -454,6 +478,51 @@ class ServiceAPI:
         }
 
     # ------------------------------------------------------------------
+    # Drain
+    # ------------------------------------------------------------------
+
+    def checkpoint_all(self) -> int:
+        """Checkpoint every live session (the drain's last step)."""
+        return self.manager.checkpoint_all()
+
+    def drain(self, budget_seconds: float | None = None) -> dict:
+        """Drain now: refuse new work, let in-flight work settle, checkpoint.
+
+        Waits at most ``budget_seconds`` (default: ``drain_budget``) for
+        in-flight requests.  Returns the report and keeps it on
+        ``last_drain``.
+        """
+        budget = self.drain_budget if budget_seconds is None else budget_seconds
+        self.last_drain = run_drain(self.admission, self, budget_seconds=budget)
+        return self.last_drain
+
+    def start_drain(self, budget_seconds: float | None = None) -> bool:
+        """Run :meth:`drain` on a background thread, then stop serving.
+
+        Once the drain ends its report is published (``last_drain``, a
+        ``drain`` event) and only then is ``shutdown_hook`` fired.
+        Returns False, starting nothing, if a drain is already under way.
+        """
+        if not self.admission.begin_drain():
+            return False
+        threading.Thread(
+            target=lambda: publish_drain_then_stop(
+                self, self.drain(budget_seconds)
+            ),
+            name="repro-drain",
+            daemon=True,
+        ).start()
+        return True
+
+    def close(self) -> None:
+        """Checkpoint every session before the server goes away.
+
+        :class:`~repro.service.router.Router` stops its workers instead;
+        each checkpoints its own sessions on the way out.
+        """
+        self.checkpoint_all()
+
+    # ------------------------------------------------------------------
     # Collection endpoints
     # ------------------------------------------------------------------
 
@@ -484,33 +553,20 @@ class ServiceAPI:
     def _admin_drain(self, body: dict, query: dict) -> tuple[int, dict]:
         """Begin graceful drain; answers ``202`` immediately.
 
-        The drain itself — wait for in-flight work, checkpoint every
-        session, fire the shutdown hook — runs on a background thread so
+        The drain runs on a background thread (:meth:`start_drain`) so
         this response can still get out.  A repeat call while draining
-        answers ``202`` with ``"initiated": false``.
+        answers ``202`` with ``"initiated": false``; a budget that is not
+        a finite number of seconds in range answers ``400`` and starts
+        nothing.
         """
-        budget = body.get("budget_seconds", self.drain_budget)
-        budget = float(budget)
-        if budget < 0:
-            raise ValueError(f"budget_seconds must be >= 0, got {budget}")
-        initiated = self.admission.begin_drain()
-        if initiated:
-            worker = threading.Thread(
-                target=self._run_drain_background,
-                args=(budget,),
-                name="repro-drain",
-                daemon=True,
-            )
-            worker.start()
+        budget = drain_budget_seconds(
+            body.get("budget_seconds", self.drain_budget)
+        )
         return 202, {
             "draining": True,
-            "initiated": initiated,
+            "initiated": self.start_drain(budget),
             "budget_seconds": budget,
         }
-
-    def _run_drain_background(self, budget: float) -> None:
-        report = run_drain(self.admission, self.manager, budget_seconds=budget)
-        publish_drain_then_stop(self, report)
 
     def _metrics(self, body: dict, query: dict) -> tuple[int, dict]:
         """Metrics scrape: Prometheus text by default, ``?format=json``.
@@ -631,7 +687,7 @@ class ServiceAPI:
 
     def _feedback(self, sid: str, body: dict, query: dict) -> tuple[int, dict]:
         batch = feedback_batch_from_payload(body.get("feedback"))
-        key = getattr(_request_ctx, "idempotency_key", None)
+        key = _request_ctx.request["idempotency_key"]
         stats = self.manager.apply_feedback(sid, batch, idempotency_key=key)
         return 200, stats
 

@@ -603,10 +603,11 @@ class SessionManager:
 
         Best-effort: a session whose write fails is skipped so one bad
         checkpoint cannot lose the state of every session after it.
-        Returns the number successfully persisted.
+        Returns the number successfully persisted: 0 without a store,
+        where there is nothing to persist to.
         """
         if self.store is None:
-            raise StoreError("no session store attached to this manager")
+            return 0
         count = 0
         with self._lock:
             ids = list(self._entries)

@@ -1,24 +1,26 @@
-"""Front-end router of the sharded service: sticky sessions over workers.
+"""Front door of the sharded service: sticky sessions over workers.
 
-``repro serve --workers N`` runs one HTTP front-end (this module) and N
-worker processes (:mod:`repro.service.worker`).  The router exposes the
-same ``dispatch(method, path, ...)`` surface as
+``repro serve --workers N`` runs one HTTP front door (this module) and N
+worker processes (:mod:`repro.service.worker`); :func:`start_fleet`
+spawns the workers and builds the door.  :class:`Router` is a
 :class:`~repro.service.api.ServiceAPI`, so the stdlib HTTP server in
-:mod:`repro.service.server` drives either interchangeably; below
-``dispatch`` it does four things:
+:mod:`repro.service.server` drives it like the single-process API, and
+it inherits that API's version routing, 404/405 answers, admission (an
+overloaded or draining fleet sheds with ``503`` before any RPC hop),
+error taxonomy, ``POST /v1/admin/drain`` and drain sequence.  Deadlines
+are enforced, and requests recorded, by the worker that runs them.  What
+the router adds is fleet-specific:
 
-* **admission + drain** at the door (PR 9's controller), so an
-  overloaded or draining shard fleet sheds before any RPC hop;
 * **sticky session→worker affinity** — a consistent-hash ring
   (:class:`HashRing`, MD5 over ``sid`` with virtual nodes) pins each
   session to one worker, which is what keeps a session's in-memory state
   (and its per-session lock) in exactly one process;
 * **rebalance + migration on worker death** — a dead worker leaves the
   ring; its sessions hash onto survivors, which recover them from the
-  shared durable store (checkpoint + WAL-tail replay, PR 7).  A
-  replacement worker is respawned in the background and takes the slot
-  back.  Before any session is routed to a *different* worker than the
-  one that served it last, the previous owner is told to ``release`` the
+  shared durable store (checkpoint + WAL-tail replay).  A replacement
+  worker is respawned in the background and takes the slot back.
+  Before any session is routed to a *different* worker than the one
+  that served it last, the previous owner is told to ``release`` the
   session — dropping a stale in-memory copy that could otherwise
   checkpoint old state over the new owner's progress.  Rebalancing is
   only enabled over a shared store; without one, a dead worker's
@@ -26,35 +28,30 @@ same ``dispatch(method, path, ...)`` surface as
   wait for the respawned replacement.
 * **telemetry merge** — ``GET /v1/metrics`` pulls each worker's
   ``MetricsRegistry.to_snapshot(source="worker-i")`` and folds them with
-  the commutative :meth:`MetricsRegistry.merge` (PR 8), so one scrape
-  sees the whole fleet; ``GET /v1/workers`` exposes the per-worker
-  breakdown the merged totals must sum to.
+  the commutative :meth:`MetricsRegistry.merge`, so one scrape sees the
+  whole fleet; ``GET /v1/workers`` exposes the per-worker breakdown the
+  merged totals must sum to;
+* **the drain's last step** — :meth:`Router.checkpoint_all` asks every
+  worker to checkpoint its sessions.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 import threading
 import time
 import uuid
+from dataclasses import replace
 
 from repro import obs
-from repro.resilience.admission import (
-    AdmissionController,
-    DrainingError,
-    OverloadedError,
-)
-from repro.resilience.drain import (
-    DEFAULT_DRAIN_BUDGET,
-    publish_drain_then_stop,
-)
+from repro.resilience.admission import AdmissionController
+from repro.resilience.drain import DEFAULT_DRAIN_BUDGET
 from repro.service.api import (
-    _EXEMPT_PATHS,
     _SESSION_PATH,
     ServiceAPI,
     TextResponse,
+    _request_ctx,
 )
 from repro.service.rpc import RpcClient, RpcConnectionClosed, RpcError
 from repro.service.worker import WorkerConfig, worker_main
@@ -66,7 +63,13 @@ __all__ = [
     "Router",
     "WorkerDiedError",
     "WorkerPool",
+    "start_fleet",
 ]
+
+#: Methods the HTTP transport hands to ``dispatch``.  The router forwards
+#: each of them on a non-fleet ``/v1`` path, so a worker answers 404 or
+#: 405 exactly as it would serving alone.
+_FORWARDED_METHODS = ("GET", "POST", "PUT", "PATCH", "DELETE")
 
 #: Virtual nodes per worker on the ring: enough that removing one worker
 #: spreads its sessions roughly evenly over the survivors.
@@ -355,8 +358,15 @@ class WorkerPool:
                 pass
 
 
-class Router:
-    """Dispatch-compatible front-end over a :class:`WorkerPool`.
+class Router(ServiceAPI):
+    """The sharded front door: a :class:`ServiceAPI` over a :class:`WorkerPool`.
+
+    It inherits version routing, 404/405, admission with its 503 shed
+    replies, the error taxonomy, ``POST /v1/admin/drain`` and the drain
+    sequence.  Fleet routes (health, stats, metrics, workers, the session
+    list) are answered here; every other ``/v1`` request is forwarded to
+    the session's sticky owner, or to any live worker.  Deadlines are
+    enforced, and requests recorded, by the worker that runs them.
 
     Parameters
     ----------
@@ -372,6 +382,8 @@ class Router:
         Front-door admission controller (shedding + drain).
     """
 
+    records_requests = False
+
     def __init__(
         self,
         pool: WorkerPool,
@@ -381,14 +393,9 @@ class Router:
         drain_budget: float = DEFAULT_DRAIN_BUDGET,
         dataset_names: list[str] | None = None,
     ) -> None:
+        super().__init__(None, admission=admission, drain_budget=drain_budget)
         self.pool = pool
         self.shared_store = shared_store
-        self.admission = (
-            admission if admission is not None else AdmissionController()
-        )
-        self.drain_budget = float(drain_budget)
-        self.shutdown_hook = None
-        self.last_drain: dict | None = None
         self._ring = HashRing(worker_ids=range(pool.size))
         self._ring_lock = threading.Lock()
         # sid -> worker id that last served it; consulted to issue
@@ -401,146 +408,71 @@ class Router:
         self.releases = 0
         self.rpc_errors = 0
 
-    # ------------------------------------------------------------------
-    # Dispatch (same contract as ServiceAPI.dispatch)
-    # ------------------------------------------------------------------
-
-    def dispatch(
-        self,
-        method: str,
-        path: str,
-        body: dict | None = None,
-        query: dict | None = None,
-        trace_id: str | None = None,
-        deadline_ms: float | None = None,
-        idempotency_key: str | None = None,
-    ) -> tuple[int, dict]:
-        body = body if body is not None else {}
-        query = query if query is not None else {}
-        method = method.upper()
-        normalized = ServiceAPI._strip_version(path)
-        if normalized is None:
-            return 404, {"error": f"no route {method} {path}"}
-        handler = self._local_routes().get((method, normalized))
-        if handler is not None:
-            try:
-                return handler(body, query)
-            except (ValueError, TypeError, KeyError) as exc:
-                return 400, {"error": f"{type(exc).__name__}: {exc}"}
-            except Exception as exc:  # noqa: BLE001 — never drop a reply
-                return 500, {
-                    "error": f"internal error: {type(exc).__name__}: {exc}"
-                }
-        exempt = normalized in _EXEMPT_PATHS
-        try:
-            with self.admission.admit(exempt=exempt):
-                return self._forward(
-                    method,
-                    path,
-                    normalized,
-                    body,
-                    query,
-                    trace_id=trace_id,
-                    deadline_ms=deadline_ms,
-                    idempotency_key=idempotency_key,
-                )
-        except OverloadedError as exc:
-            obs.shed("overloaded")
-            return 503, {
-                "error": str(exc),
-                "kind": "overloaded",
-                "retry_after": exc.retry_after,
-            }
-        except DrainingError as exc:
-            obs.shed("draining")
-            return 503, {
-                "error": str(exc),
-                "kind": "draining",
-                "retry_after": exc.retry_after,
-            }
+    def _handlers_for(self, path: str) -> dict:
+        """Fleet routes, else forward every method to a worker."""
+        fleet = {
+            "/health": {"GET": self._health},
+            "/stats": {"GET": self._stats},
+            "/metrics": {"GET": self._metrics},
+            "/workers": {"GET": self._workers_route},
+            "/admin/drain": {"POST": self._admin_drain},
+            "/sessions": {
+                "GET": self._list_sessions,
+                "POST": self._create_session,
+            },
+        }
+        if path in fleet:
+            return fleet[path]
+        match = _SESSION_PATH.match(path)
+        sid = match.group("sid") if match else None
+        return dict.fromkeys(
+            _FORWARDED_METHODS,
+            lambda body, query: self._forward(sid, body, query),
+        )
 
     # ------------------------------------------------------------------
     # Forwarding and stickiness
     # ------------------------------------------------------------------
 
+    def _create_session(self, body: dict, query: dict) -> tuple[int, dict]:
+        # The router must know the session id before it can pick a
+        # worker, so ids are minted here when the client supplied none —
+        # the worker then creates the session under this id.
+        sid = body.get("session_id") or uuid.uuid4().hex[:16]
+        return self._forward(sid, {**body, "session_id": sid}, query)
+
     def _forward(
-        self,
-        method: str,
-        path: str,
-        normalized: str,
-        body: dict,
-        query: dict,
-        trace_id: str | None,
-        deadline_ms: float | None,
-        idempotency_key: str | None,
+        self, sid: str | None, body: dict, query: dict
     ) -> tuple[int, dict]:
-        match = _SESSION_PATH.match(normalized)
-        sid: str | None = None
-        if match:
-            sid = match.group("sid")
-        elif method == "POST" and normalized == "/sessions":
-            # The router must know the session id before it can pick a
-            # worker, so ids are minted here when the client supplied
-            # none — the worker then creates the session under this id.
-            body = dict(body)
-            sid = body.get("session_id") or uuid.uuid4().hex[:16]
-            body["session_id"] = sid
+        """Send the current request to ``sid``'s sticky owner (any live
+        worker when ``sid`` is None), surviving one worker death."""
         request = {
             "op": "request",
-            "method": method,
-            "path": path,
+            **_request_ctx.request,
             "body": body,
             "query": query,
-            "trace_id": trace_id,
-            "deadline_ms": deadline_ms,
-            "idempotency_key": idempotency_key,
         }
-        if sid is None:
-            worker = self._any_live_worker()
+        for _attempt in range(2):
+            worker = (
+                self._any_live_worker()
+                if sid is None
+                else self._owner_worker(sid)
+            )
             if worker is None:
-                return 503, {
-                    "error": "no live workers",
-                    "kind": "no_workers",
-                    "retry_after": 1.0,
-                }
-            try:
-                return self._unwrap(worker.call(request))
-            except WorkerDiedError:
-                self._note_death(worker.worker_id)
-                retry = self._any_live_worker()
-                if retry is None:
-                    return 503, {
-                        "error": "no live workers",
-                        "kind": "no_workers",
-                        "retry_after": 1.0,
-                    }
-                return self._unwrap(retry.call(request))
-        return self._forward_session(sid, request)
-
-    def _forward_session(self, sid: str, request: dict) -> tuple[int, dict]:
-        """Sticky-route one session request, surviving one worker death."""
-        for attempt in range(2):
-            worker = self._owner_worker(sid)
-            if worker is None:
-                return 503, {
-                    "error": f"no live worker available for session {sid!r}",
-                    "kind": "no_workers",
-                    "retry_after": 1.0,
-                }
+                break
             try:
                 return self._unwrap(worker.call(request))
             except WorkerDiedError:
                 self.rpc_errors += 1
+                # The second pass re-resolves the worker: the ring may
+                # have rebalanced the session onto a survivor (shared
+                # store), or the slot's replacement is awaited.  The
+                # mutation paths stay exactly-once across this retry
+                # because the Idempotency-Key rides in `request`.
                 self._note_death(worker.worker_id)
-                if attempt == 0:
-                    # Second pass re-resolves ownership: either the ring
-                    # rebalanced the session onto a survivor (shared
-                    # store) or the slot's replacement is awaited.  The
-                    # mutation paths stay exactly-once across this retry
-                    # because the Idempotency-Key rides in `request`.
-                    continue
+        target = "the request" if sid is None else f"session {sid!r}"
         return 503, {
-            "error": f"workers for session {sid!r} keep dying",
+            "error": f"no live worker could serve {target}",
             "kind": "no_workers",
             "retry_after": 1.0,
         }
@@ -641,16 +573,6 @@ class Router:
     # ------------------------------------------------------------------
     # Front-end routes
     # ------------------------------------------------------------------
-
-    def _local_routes(self):
-        return {
-            ("GET", "/health"): self._health,
-            ("GET", "/metrics"): self._metrics,
-            ("GET", "/stats"): self._stats,
-            ("GET", "/workers"): self._workers_route,
-            ("POST", "/admin/drain"): self._admin_drain,
-            ("GET", "/sessions"): self._list_sessions,
-        }
 
     def _health(self, body: dict, query: dict) -> tuple[int, dict]:
         live = self.pool.live_ids()
@@ -849,70 +771,19 @@ class Router:
     # Drain / shutdown
     # ------------------------------------------------------------------
 
-    def _admin_drain(self, body: dict, query: dict) -> tuple[int, dict]:
-        budget = float(body.get("budget_seconds", self.drain_budget))
-        if budget < 0:
-            raise ValueError(f"budget_seconds must be >= 0, got {budget}")
-        initiated = self.admission.begin_drain()
-        if initiated:
-            threading.Thread(
-                target=self._run_drain_background,
-                args=(budget,),
-                name="repro-router-drain",
-                daemon=True,
-            ).start()
-        return 202, {
-            "draining": True,
-            "initiated": initiated,
-            "budget_seconds": budget,
-        }
-
-    def drain(self, budget_seconds: float | None = None) -> dict:
-        """Drain the fleet synchronously; returns a report dict.
-
-        Stops admitting, waits for in-flight requests, then asks every
-        worker to checkpoint its sessions (``drain`` op).  Safe to call
-        repeatedly; used by the SIGTERM path of ``repro serve``.
-        """
-        budget = (
-            float(budget_seconds)
-            if budget_seconds is not None
-            else self.drain_budget
-        )
-        started = time.monotonic()
-        self.admission.begin_drain()
-        drained = self.admission.wait_idle(budget)
-        checkpointed = 0
-        worker_reports = []
+    def checkpoint_all(self) -> int:
+        """Ask every live worker to checkpoint its sessions (``drain``
+        op); returns how many were checkpointed fleet-wide."""
+        count = 0
         for worker in self.pool.workers():
             if not worker.alive():
-                worker_reports.append(
-                    {"worker_id": worker.worker_id, "alive": False}
-                )
                 continue
             try:
-                reply = worker.call({"op": "drain"}, timeout=max(budget, 30.0))
-                count = int(reply.get("checkpointed", 0))
-                checkpointed += count
-                worker_reports.append(
-                    {"worker_id": worker.worker_id, "checkpointed": count}
-                )
+                reply = worker.call({"op": "drain"}, timeout=30.0)
             except WorkerDiedError:
-                worker_reports.append(
-                    {"worker_id": worker.worker_id, "alive": False}
-                )
-        report = {
-            "drained_in_budget": bool(drained),
-            "abandoned_inflight": self.admission.stats().get("inflight", 0),
-            "checkpointed": checkpointed,
-            "workers": worker_reports,
-            "elapsed_seconds": time.monotonic() - started,
-        }
-        self.last_drain = report
-        return report
-
-    def _run_drain_background(self, budget: float) -> None:
-        publish_drain_then_stop(self, self.drain(budget))
+                continue  # its sessions stand at their last WAL commit
+            count += int(reply.get("checkpointed", 0))
+        return count
 
     def close(self) -> None:
         """Terminate every worker and forget the assignments."""
@@ -930,6 +801,37 @@ def _counter_total(snapshot: dict, family: str) -> float:
     return float(sum(s.get("value", 0.0) for s in spec.get("samples", ())))
 
 
-def default_socket_dir() -> str:
-    """A fresh runtime directory for worker sockets (caller cleans up)."""
-    return tempfile.mkdtemp(prefix="repro-shard-")
+def start_fleet(
+    size: int, config: WorkerConfig, runtime_dir: str, **router_options
+) -> Router:
+    """Spawn ``size`` worker processes from ``config``; return their Router.
+
+    Worker ``i`` serves ``config`` with ``worker_id=i`` on the socket
+    ``runtime_dir/worker-i.sock``, and logs events to
+    ``<config.obs_log>.worker<i>`` when ``obs_log`` is set.  With a
+    ``store_url`` every worker opens that store, so the router rebalances
+    a dead worker's sessions onto survivors.  ``router_options`` go to
+    :class:`Router`.
+    """
+
+    def factory(worker_id: int) -> ProcessWorker:
+        return ProcessWorker(
+            replace(
+                config,
+                worker_id=worker_id,
+                socket_path=os.path.join(
+                    runtime_dir, f"worker-{worker_id}.sock"
+                ),
+                obs_log=(
+                    f"{config.obs_log}.worker{worker_id}"
+                    if config.obs_log
+                    else None
+                ),
+            )
+        )
+
+    return Router(
+        WorkerPool(size, factory),
+        shared_store=config.store_url is not None,
+        **router_options,
+    )

@@ -229,8 +229,9 @@ class ReproServer(ThreadingHTTPServer):
     Parameters
     ----------
     api:
-        The dispatch layer (or pass a :class:`SessionManager` and one is
-        wrapped for you).
+        The front door: a :class:`ServiceAPI` or its sharded subclass
+        :class:`~repro.service.router.Router` (or pass a
+        :class:`SessionManager` and one is wrapped for you).
     host, port:
         Bind address; ``port=0`` picks a free ephemeral port.
     quiet:
@@ -254,12 +255,10 @@ class ReproServer(ThreadingHTTPServer):
     ) -> None:
         if isinstance(api, SessionManager):
             api = ServiceAPI(api)
-        # Anything with a dispatch(method, path, ...) surface serves —
-        # ServiceAPI directly, or the sharded Router front-end.
-        if not callable(getattr(api, "dispatch", None)):
+        if not isinstance(api, ServiceAPI):  # the sharded Router is one
             raise TypeError(
-                "api must be a SessionManager or expose "
-                f"dispatch(method, path, ...); got {type(api).__name__}"
+                "api must be a SessionManager or a ServiceAPI; "
+                f"got {type(api).__name__}"
             )
         self.api = api
         self.quiet = quiet

@@ -73,6 +73,9 @@ class SessionStore(ABC):
     def list_ids(self) -> list[str]:
         """All stored session ids, sorted."""
 
+    def close(self) -> None:
+        """Release what the store holds open (nothing, unless overridden)."""
+
     def __contains__(self, session_id: str) -> bool:
         try:
             self.get(session_id)

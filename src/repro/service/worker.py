@@ -3,10 +3,13 @@
 A worker is the whole single-process service stack — ``SessionManager``
 over the shared store, ``ServiceAPI`` dispatch, solve cache with the
 shared L2 tier — behind a :class:`~repro.service.rpc.RpcServer` instead
-of an HTTP socket.  The front-end router forwards HTTP-shaped requests
+of an HTTP socket.  :func:`build_worker_api` builds that stack from a
+:class:`WorkerConfig`, and single-process ``repro serve`` serves the
+same one over HTTP.  The front-end router forwards HTTP-shaped requests
 as RPC frames; everything below ``dispatch`` is byte-identical to the
 single-process service, which is what makes the sharded deployment a
-routing change rather than a rewrite.
+routing change rather than a rewrite.  The worker enforces each
+request's deadline and records it in its metrics.
 
 RPC operations (the ``"op"`` field of each request frame):
 
@@ -17,7 +20,7 @@ RPC operations (the ``"op"`` field of each request frame):
 ``metrics``     ``MetricsRegistry.to_snapshot(source="worker-<id>")``
                 for the front-end's commutative merge (PR 8)
 ``release``     drop one session from memory (ownership handoff)
-``drain``       checkpoint every session (graceful shutdown, PR 9)
+``drain``       checkpoint every session (the router's drain step)
 ``shutdown``    drain, answer, then exit the serve loop
 ==============  =====================================================
 
@@ -47,11 +50,12 @@ class WorkerConfig:
     the single ``spawn`` argument.  ``datasets`` names a registry:
     ``"cli"`` (the default) resolves :data:`repro.cli.DATASETS` inside
     the worker, so datasets load lazily per process instead of being
-    pickled across.
+    pickled across.  :func:`~repro.service.router.start_fleet` sets
+    ``worker_id`` and ``socket_path`` for each worker it spawns.
     """
 
-    worker_id: int
-    socket_path: str
+    worker_id: int = 0
+    socket_path: str = ""
     store_url: str | None = None
     fsync: str = "batch"
     cache_size: int = 128
@@ -74,8 +78,13 @@ def _resolve_datasets(spec: str):
     raise ValueError(f"unknown dataset registry {spec!r}")
 
 
-def build_worker_api(config: WorkerConfig):
-    """Construct the (api, manager) pair a worker serves."""
+def build_worker_api(config: WorkerConfig, **api_options):
+    """The :class:`~repro.service.api.ServiceAPI` a worker serves.
+
+    ``repro serve`` without ``--workers`` serves the same stack over
+    HTTP, passing its ``admission`` and ``drain_budget`` through
+    ``api_options``.
+    """
     from repro.service.api import ServiceAPI
     from repro.service.cache import L2SolveCache, SolveCache
     from repro.service.manager import SessionManager
@@ -100,8 +109,9 @@ def build_worker_api(config: WorkerConfig):
         max_sessions=config.max_sessions,
         ttl_seconds=config.ttl_seconds,
     )
-    api = ServiceAPI(manager, default_deadline_ms=config.default_deadline_ms)
-    return api, manager
+    return ServiceAPI(
+        manager, default_deadline_ms=config.default_deadline_ms, **api_options
+    )
 
 
 class WorkerRuntime:
@@ -147,19 +157,12 @@ class WorkerRuntime:
             )
             return {"ok": True, "released": released}
         if op == "drain":
-            count = (
-                self.manager.checkpoint_all()
-                if self.manager.store is not None
-                else 0
-            )
-            return {"ok": True, "checkpointed": count}
+            return {"ok": True, "checkpointed": self.manager.checkpoint_all()}
         if op == "shutdown":
-            count = 0
-            if self.manager.store is not None:
-                try:
-                    count = self.manager.checkpoint_all()
-                except Exception:  # noqa: BLE001 — still shut down
-                    count = 0
+            try:
+                count = self.manager.checkpoint_all()
+            except Exception:  # noqa: BLE001 — still shut down
+                count = 0
             self.stop_event.set()
             return {"ok": True, "checkpointed": count}
         return {"ok": False, "error": f"unknown op {op!r}"}
@@ -221,6 +224,6 @@ def worker_main(config: WorkerConfig) -> None:
     chaos.configure_from_env(os.environ)
     if config.obs or config.obs_log:
         obs.configure(event_log=config.obs_log, slow_ms=config.slow_ms)
-    api, manager = build_worker_api(config)
-    runtime = WorkerRuntime(api, manager, worker_id=config.worker_id)
+    api = build_worker_api(config)
+    runtime = WorkerRuntime(api, api.manager, worker_id=config.worker_id)
     runtime.serve_until_shutdown(config.socket_path)

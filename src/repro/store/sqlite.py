@@ -392,13 +392,6 @@ class SQLiteStore(SessionStore, FeedbackLogStore):
         ).fetchone()
         return int(row[0])
 
-    def prune_feedback(self, session_id: str, up_to_seq: int) -> int:
-        cursor = self._execute(
-            "DELETE FROM wal WHERE session_id = ? AND seq <= ?",
-            (session_id, int(up_to_seq)),
-        )
-        return int(cursor.rowcount)
-
     def checkpoint_and_prune(
         self, session_id: str, payload: dict, up_to_seq: int
     ) -> int:

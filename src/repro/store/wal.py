@@ -14,7 +14,7 @@ This module defines the backend-independent pieces:
   the serialized feedback items, and a content checksum;
 * :class:`FeedbackLogStore` — the capability interface a
   :class:`~repro.service.store.SessionStore` grows to become a durable
-  store (append / tail / rollback / prune / transactional
+  store (append / tail / rollback / transactional
   checkpoint-and-prune), implemented by
   :class:`~repro.store.sqlite.SQLiteStore`;
 * the fsync policies (``always`` / ``batch`` / ``off``) a durable
@@ -196,10 +196,6 @@ class FeedbackLogStore(ABC):
     @abstractmethod
     def last_seq(self, session_id: str) -> int:
         """Highest sequence number logged for the session (0 = none)."""
-
-    @abstractmethod
-    def prune_feedback(self, session_id: str, up_to_seq: int) -> int:
-        """Drop records with ``seq <= up_to_seq``; returns how many."""
 
     @abstractmethod
     def checkpoint_and_prune(

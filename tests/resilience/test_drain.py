@@ -10,6 +10,7 @@ session.
 
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -113,6 +114,38 @@ class TestAdminDrainRoute:
             "POST", "/v1/admin/drain", {"budget_seconds": -1}
         )
         assert status == 400
+
+    @pytest.mark.parametrize("budget", [float("inf"), 1e300, float("nan")])
+    @pytest.mark.parametrize("door", ["api", "router"])
+    def test_unbounded_budget_is_refused_and_nothing_drains(
+        self, two_cluster_data, tmp_path, door, budget
+    ):
+        """An infinite or huge budget overflows the timed wait for
+        in-flight work, and NaN makes it spin: both front doors answer
+        400 and stay open, even with a request in flight."""
+        data = two_cluster_data[0]
+        if door == "api":
+            front = self._api(data)
+        else:
+            from repro.service.router import InProcessWorker, Router, WorkerPool
+
+            def factory(worker_id):
+                manager = SessionManager({"wl": data})
+                return InProcessWorker(
+                    ServiceAPI(manager), manager, worker_id, str(tmp_path)
+                )
+
+            front = Router(WorkerPool(1, factory))
+        try:
+            with front.admission.admit():
+                status, payload = front.dispatch(
+                    "POST", "/v1/admin/drain", {"budget_seconds": budget}
+                )
+            assert status == 400, payload
+            assert not front.admission.draining
+            assert front.last_drain is None
+        finally:
+            front.close()
 
 
 class TestOverloadOverHttp:
@@ -225,25 +258,35 @@ class TestDeadlineOverHttp:
 
 
 def _read_until(worker, needle, timeout=60.0):
-    """Read worker stdout lines until one contains ``needle``."""
+    """The first stdout line of ``worker`` that contains ``needle``.
+
+    Polls the pipe, so a server that never prints the line fails the
+    test after ``timeout`` seconds instead of blocking it.
+    """
     deadline = time.monotonic() + timeout
-    lines = []
-    while time.monotonic() < deadline:
-        if worker.poll() is not None:
-            break
-        line = worker.stdout.readline()
-        if not line:
-            break
-        lines.append(line)
-        if needle in line:
-            return line, lines
-    pytest.fail(
-        f"never saw {needle!r} in serve output; got: {''.join(lines)}"
-        f"{worker.stderr.read() if worker.poll() is not None else ''}"
-    )
+    fd = worker.stdout.fileno()
+    seen = ""
+    while time.monotonic() < deadline and worker.poll() is None:
+        if select.select([fd], [], [], 0.1)[0]:
+            seen += os.read(fd, 65536).decode(errors="replace")
+            for line in seen.splitlines():
+                if needle in line:
+                    return line
+    if worker.poll() is not None:
+        seen += worker.stderr.read()
+    pytest.fail(f"never saw {needle!r} in serve output; got: {seen}")
 
 
-def test_sigterm_drains_checkpoints_and_restart_resumes(tmp_path):
+def _stop_group(proc) -> None:
+    """SIGKILL a still-running server and every worker in its group."""
+    if proc.poll() is None:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+    proc.stdout.close()
+    proc.stderr.close()
+
+
+def _sigterm_then_resume(tmp_path, *serve_args):
     """SIGTERM mid-session: drain, exit 0, successor serves the session."""
     store_url = f"sqlite:{tmp_path / 'sessions.db'}"
     env = {
@@ -254,14 +297,19 @@ def test_sigterm_drains_checkpoints_and_restart_resumes(tmp_path):
     argv = [
         sys.executable, "-m", "repro", "serve",
         "--port", "0", "--store", store_url,
-        "--drain-budget", "5",
+        "--drain-budget", "5", *serve_args,
     ]
-    worker = subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env=env,
-    )
+
+    def start():
+        # Own process group: cleanup reaches the workers of --workers N.
+        return subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env, start_new_session=True,
+        )
+
+    worker = start()
     try:
-        banner, _ = _read_until(worker, "repro service on http://")
+        banner = _read_until(worker, "repro service on http://")
         port = int(banner.rsplit(":", 1)[1])
         client = ServiceClient(
             f"http://127.0.0.1:{port}", breaker=False
@@ -278,20 +326,13 @@ def test_sigterm_drains_checkpoints_and_restart_resumes(tmp_path):
         assert "drained:" in combined
         assert "1 session(s) checkpointed" in combined
     finally:
-        if worker.poll() is None:  # pragma: no cover - cleanup on failure
-            worker.kill()
-            worker.wait(timeout=30)
-        worker.stdout.close()
-        worker.stderr.close()
+        _stop_group(worker)
 
     # A successor on the same store resumes the checkpointed session and
     # serves the identical view.
-    worker2 = subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env=env,
-    )
+    worker2 = start()
     try:
-        banner, _ = _read_until(worker2, "repro service on http://")
+        banner = _read_until(worker2, "repro service on http://")
         port2 = int(banner.rsplit(":", 1)[1])
         client2 = ServiceClient(f"http://127.0.0.1:{port2}", breaker=False)
         resumed = client2.session("term")
@@ -301,7 +342,49 @@ def test_sigterm_drains_checkpoints_and_restart_resumes(tmp_path):
             np.asarray(after["axes"]), np.asarray(before["axes"])
         )
     finally:
-        worker2.kill()
-        worker2.wait(timeout=30)
-        worker2.stdout.close()
-        worker2.stderr.close()
+        _stop_group(worker2)
+
+
+def test_sigterm_drains_checkpoints_and_restart_resumes(tmp_path):
+    _sigterm_then_resume(tmp_path)
+
+
+def test_sharded_sigterm_drains_checkpoints_and_restart_resumes(tmp_path):
+    """The same over ``--workers 2``: the router drains the fleet."""
+    _sigterm_then_resume(tmp_path, "--workers", "2")
+
+
+def test_sharded_serve_refuses_single_process_options():
+    """With ``--workers N`` the workers run the requests; options that
+    only set up a single serving process are refused, not ignored."""
+    flags = [
+        "--profile", "--profile-hz", "50", "--obs-rotate-mb", "1",
+        "--history-interval", "0.5", "--history-capacity", "10",
+        "--view-p99-budget", "1.5",
+    ]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "2", *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={"PYTHONPATH": _REPO_SRC, "PATH": "/usr/bin:/bin:/usr/local/bin"},
+        start_new_session=True,
+    )
+    try:
+        _out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        _stop_group(proc)
+        pytest.fail("serve --workers 2 started instead of refusing")
+    assert proc.returncode == 2
+    for flag in flags:
+        if flag.startswith("--"):
+            assert flag in err, (flag, err)
+
+
+@pytest.mark.parametrize("budget", ["inf", "1e300", "nan"])
+def test_serve_refuses_an_unbounded_drain_budget(budget, capsys):
+    from repro.cli import main
+
+    # Port -1 cannot be bound, so a server that got past the budget
+    # check fails at once instead of serving.
+    assert main(["serve", "--port", "-1", "--drain-budget", budget]) == 2
+    assert "--drain-budget" in capsys.readouterr().err

@@ -15,13 +15,16 @@ import pytest
 
 from repro.resilience.admission import AdmissionController
 from repro.service.api import ServiceAPI
+from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.manager import SessionManager
 from repro.service.router import (
     HashRing,
     InProcessWorker,
     Router,
+    WorkerDiedError,
     WorkerPool,
 )
+from repro.service.server import start_background
 from repro.store import store_from_url
 
 
@@ -273,7 +276,7 @@ class TestAdmissionAndDrain:
         for _ in range(3):
             _create(router)
         report = router.drain(budget_seconds=5.0)
-        assert report["drained_in_budget"] is True
+        assert report["idle"] is True
         assert report["checkpointed"] == 3
         assert report["abandoned_inflight"] == 0
         assert router.last_drain is report
@@ -355,3 +358,40 @@ class TestMigrationAndRelease:
         assert router.releases == 1
         assert router._owners[sid] == owner
         assert managers[other].live_session_count() == 0
+
+
+class TestTornWorkerConnection:
+    """Every RPC fails while the workers stay alive (a torn connection):
+    the door must still answer, never drop the HTTP connection."""
+
+    @pytest.fixture
+    def torn(self, fleet, monkeypatch):
+        router, pool, _managers = fleet
+
+        def call(payload, timeout=None):
+            raise WorkerDiedError("connection reset by peer")
+
+        for worker in pool.workers():
+            monkeypatch.setattr(worker, "call", call)
+        return router
+
+    def test_dispatch_answers_503_no_workers(self, torn):
+        for path in ("/v1/datasets", "/v1/sessions/s1/view"):
+            status, payload = torn.dispatch("GET", path)
+            assert status == 503, (path, payload)
+            assert payload["kind"] == "no_workers"
+            assert payload["retry_after"] > 0
+
+    def test_http_client_gets_the_503(self, torn):
+        server = start_background(torn)
+        try:
+            client = ServiceClient(
+                server.base_url, max_retries=0, breaker=False
+            )
+            with pytest.raises(ServiceClientError) as info:
+                client.datasets()
+            assert info.value.status == 503
+            assert info.value.payload["kind"] == "no_workers"
+        finally:
+            server.stop()
+

@@ -17,6 +17,7 @@ class TestStoreFromUrl:
     def test_memory(self):
         assert isinstance(store_from_url("memory:"), MemoryStore)
         assert isinstance(store_from_url("memory"), MemoryStore)
+        store_from_url("memory:").close()  # serve opens and closes it
 
     def test_dir(self, tmp_path):
         # No dir: backend: the error names the accepted forms, and nothing

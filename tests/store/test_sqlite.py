@@ -108,13 +108,6 @@ class TestFeedbackLog:
         assert damage is not None
         assert [r.seq for r in records] == [1]
 
-    def test_prune_drops_folded_records(self, store):
-        for i in range(5):
-            store.append_feedback("s", [{"i": i}])
-        assert store.prune_feedback("s", 3) == 3
-        records, _ = store.feedback_tail("s")
-        assert [r.seq for r in records] == [4, 5]
-
 
 class TestSeqFloor:
     """Sequence numbers must stay monotonic across compaction folds.
