@@ -957,11 +957,8 @@ def run_service_suite(quick: bool = False, seed: int = 0) -> dict:
     )
 
     def run_fleet(n_workers: int) -> dict:
-        router = start_fleet(
-            n_workers,
-            WorkerConfig(),
-            tempfile.mkdtemp(prefix="repro-bench-shard-"),
-        )
+        runtime = tempfile.TemporaryDirectory(prefix="repro-bench-shard-")
+        router = start_fleet(n_workers, WorkerConfig(), runtime.name)
         view_latencies: list[float] = []
         try:
             worker0 = router.pool.worker(0)
@@ -1022,6 +1019,7 @@ def run_service_suite(quick: bool = False, seed: int = 0) -> dict:
             elapsed = time.perf_counter() - started
         finally:
             router.close()
+            runtime.cleanup()
         return {
             "elapsed_s": elapsed,
             "rpc_roundtrip_s": rpc_roundtrip,

@@ -829,7 +829,7 @@ def cmd_loadgen(
             "an external server writes its own event log",
             file=sys.stderr,
         )
-    server = None
+    server = runtime = None
     if url is None:
         from repro.service import ReproServer, ServiceAPI, SessionManager
 
@@ -840,7 +840,8 @@ def cmd_loadgen(
             from repro.service.router import start_fleet
             from repro.service.worker import WorkerConfig
 
-            runtime_dir = tempfile.mkdtemp(prefix="repro-loadgen-shard-")
+            runtime = tempfile.TemporaryDirectory(prefix="repro-loadgen-shard-")
+            runtime_dir = runtime.name
             print(
                 f"starting temporary sharded service ({serve_workers} "
                 "workers) ..."
@@ -888,6 +889,8 @@ def cmd_loadgen(
         if server is not None:
             server.stop()
             server.api.close()
+        if runtime is not None:
+            runtime.cleanup()
         if configured_obs:
             from repro import obs as obs_module
 
@@ -1017,6 +1020,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         slow_ms=args.slow_ms,
     )
     admission = AdmissionController(max_inflight=args.max_inflight)
+    runtime = None
     if args.workers == 1:
         # This process runs the requests, so it gets their whole set-up.
         if obs_enabled:
@@ -1061,7 +1065,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # config (worker_main); this process only counts what it sheds.
         if obs_enabled:
             obs.configure(slow_ms=args.slow_ms)
-        runtime_dir = tempfile.mkdtemp(prefix="repro-shard-")
+        # Worker sockets and the default L2 cache; removed once the
+        # workers have stopped.
+        runtime = tempfile.TemporaryDirectory(prefix="repro-shard-")
+        runtime_dir = runtime.name
         if config.cache_size > 0 and config.l2_cache_path is None:
             config = replace(
                 config,
@@ -1087,6 +1094,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 dataset_names=sorted(DATASETS),
             )
         except WorkerDiedError as exc:
+            runtime.cleanup()
             print(f"failed to start worker pool: {exc}", file=sys.stderr)
             return 2
 
@@ -1139,6 +1147,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
+        if runtime is not None:
+            runtime.cleanup()
     return 0
 
 

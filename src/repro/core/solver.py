@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro import obs, perf
+from repro import perf
 from repro.core.constraint import Constraint, ConstraintKind
 from repro.core.equivalence import EquivalenceClasses, build_equivalence_classes
 from repro.core.parameters import ClassParameters
@@ -269,7 +269,7 @@ def solve_maxent(
     perf.add("solver.sweeps", sweeps)
     perf.add("solver.steps", steps)
     perf.add("solver.stats_cache_hits", stats_hits)
-    obs.solve_completed(init_seconds + optim_seconds, sweeps)
+    perf.add("solver.seconds", init_seconds + optim_seconds)
     report = SolverReport(
         converged=converged,
         sweeps=sweeps,

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.explore.engine import RemoteDriver, run_exploration
 from repro.explore.policies import make_policy
-from repro.obs import bucket_bounds, histogram_quantile
+from repro.obs import bucket_bounds, histogram_quantile, route_template
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosError, parse_chaos
 from repro.service.client import ServiceClient, ServiceClientError
@@ -48,20 +48,6 @@ _PERCENTILES = (50, 95, 99)
 #: include urllib + socket overhead the server never sees, so agreement
 #: is asserted only up to bucket resolution plus this many milliseconds.
 _CROSSCHECK_OVERHEAD_MS = 25.0
-
-_SESSION_SEGMENT = "/sessions/"
-
-
-def route_template(method: str, prefix: str, path: str) -> str:
-    """Collapse per-session paths onto one route key (``{id}`` placeholder)."""
-    if path.startswith(_SESSION_SEGMENT) and path != _SESSION_SEGMENT:
-        rest = path[len(_SESSION_SEGMENT):]
-        head, _, tail = rest.partition("/")
-        if head:
-            path = _SESSION_SEGMENT + "{id}" + (f"/{tail}" if tail else "")
-    # Query strings vary per request; the route is the path alone.
-    path = path.split("?", 1)[0]
-    return f"{method} {prefix}{path}"
 
 
 class LatencyRecorder:
@@ -125,7 +111,8 @@ class InstrumentedClient(ServiceClient):
         *,
         decode_json: bool = True,
     ):
-        route = route_template(method, self.prefix, path)
+        # The server's own route key, so the two latency tables join.
+        route = route_template(method, self.prefix + path)[0]
         start = time.perf_counter()
         try:
             # Client-side chaos point: `--chaos "client.request:error:p=..."`

@@ -2,28 +2,31 @@
 
 One switch turns the whole layer on: :func:`configure` (or the
 ``REPRO_OBS=1`` / ``REPRO_OBS_LOG=path`` environment variables, read at
-import) installs a process-wide :class:`Observability` state that the
-service and the compute kernels consult at runtime:
+import) installs a process-wide :class:`Observability` state.  The code
+it observes records through one primitive, :func:`repro.perf.timer` and
+:func:`repro.perf.add`: the state is installed at
+:data:`repro.perf.observer`, which hands it every timer exit
+(:meth:`Observability.span`) and counter bump (:meth:`Observability.count`).
 
 * **Tracing** — the HTTP layer starts a :class:`~repro.obs.trace.Trace`
-  per request (id from the ``X-Repro-Trace-Id`` header, or minted) and
-  every ``repro.perf`` timer that fires while it is active becomes a
-  span of that request, via the bridge installed at
-  :data:`repro.perf.trace_sink`.
+  per request (id from the ``X-Repro-Trace-Id`` header, or minted); every
+  ``perf`` timer that exits while it is active becomes a span of that
+  request, and every ``perf.add`` one of its counters.
 * **Events** — each completed request is emitted as one JSONL line
   (route, status, trace id, duration, span tree, solver/cache counters)
   to the configured :class:`~repro.obs.events.EventLog`; requests slower
   than ``slow_ms`` — and every 4xx/5xx, as a typed ``error`` event —
   carry full per-span detail.
 * **Metrics** — a :class:`~repro.obs.metrics.MetricsRegistry` of
-  counters/gauges/histograms (request duration per route, solve
-  duration, cache hit/miss, feedback batch size, live sessions) exported
-  at ``GET /v1/metrics`` in Prometheus text format (JSON variant via
-  ``?format=json``).
+  counters/gauges/histograms exported at ``GET /v1/metrics`` in
+  Prometheus text format (JSON variant via ``?format=json``).  The
+  request envelope records the per-route request families; every other
+  family is fed by the ``perf`` instruments bound to it in
+  :data:`INSTRUMENTS`.
 
-While *disabled* (the default) every hook in the hot path is one module
-attribute read plus a ``None`` check — the same cost class as a disabled
-``perf.add`` — pinned by a micro-benchmark in the test suite.
+While *disabled* (the default) each ``perf`` call is one module
+attribute read plus a ``None`` check, and ``perf.timer`` returns a shared
+no-op — pinned by a micro-benchmark in the test suite.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from repro.obs.metrics import (
 from repro.obs.profile import StackProfiler
 from repro.obs.slo import SLO, SLOEngine, default_slos
 from repro.obs.timeseries import TimeSeriesRecorder
-from repro.obs.trace import PerfBridge, Trace, accept_trace_id, new_trace_id
+from repro.obs.trace import Trace, accept_trace_id, new_trace_id
 
 __all__ = [
     "EventLog",
@@ -62,28 +65,19 @@ __all__ = [
     "accept_trace_id",
     "active",
     "bucket_bounds",
-    "cache_lookup",
-    "compaction",
     "configure",
-    "deadline_exceeded",
     "default_slos",
     "disable",
-    "feedback_batch",
-    "feedback_deduplicated",
     "histogram_quantile",
     "is_enabled",
     "new_trace_id",
     "parse_prometheus",
     "profiler",
     "read_events",
-    "recovery",
     "route_template",
-    "shed",
-    "solve_completed",
     "start_profiler",
     "stop_profiler",
     "trace_module",
-    "wal_append",
 ]
 
 #: HTTP header carrying the trace id in both directions.
@@ -113,12 +107,63 @@ def route_template(method: str, path: str) -> tuple[str, str | None]:
     return f"{method} {template}", match.group("sid")
 
 
+#: The metric families that ``perf`` instruments feed, one row per
+#: family: (family, help text, bucket ladder or ``None`` for a counter,
+#: {instrument name: label values}).  A ``perf.add`` value is added to a
+#: counter and observed by a histogram; a ``perf.timer`` block observes
+#: its seconds, unless it raised.  Labelled children are created on their
+#: first observation, so a scrape shows only the series that happened.
+INSTRUMENTS = (
+    ("repro_solve_duration_seconds",
+     "MaxEnt solver wall-clock per solve (INIT + OPTIM).",
+     DEFAULT_SOLVE_BUCKETS, {"solver.seconds": {}}),
+    ("repro_solver_sweeps_total",
+     "Full solver sweeps across all solves.",
+     None, {"solver.sweeps": {}}),
+    ("repro_solve_cache_lookups_total",
+     "Solve-cache lookups, by result.",
+     None, {"service.solve_cache_hits": {"result": "hit"},
+            "service.solves": {"result": "miss"}}),
+    ("repro_feedback_batch_size",
+     "Feedback items per applied batch.",
+     DEFAULT_SIZE_BUCKETS, {"service.feedback_items": {}}),
+    ("repro_wal_append_seconds",
+     "Durable write-ahead append per feedback batch.",
+     DEFAULT_FSYNC_BUCKETS, {"wal_append": {}}),
+    ("repro_store_compactions_total",
+     "Feedback-log folds into a fresh checkpoint.",
+     None, {"store.compactions": {}}),
+    ("repro_store_compacted_records_total",
+     "WAL records pruned by compaction.",
+     None, {"store.compacted_records": {}}),
+    ("repro_store_recoveries_total",
+     "Session resumes that replayed a feedback-log tail.",
+     None, {"store.recoveries": {}}),
+    ("repro_store_recovered_batches_total",
+     "Feedback batches replayed from the log during recovery.",
+     None, {"store.recovered_batches": {}}),
+    ("repro_shed_total",
+     "Requests shed by admission control, by reason "
+     "(overloaded / draining).",
+     None, {"admission.shed_overloaded": {"reason": "overloaded"},
+            "admission.shed_draining": {"reason": "draining"}}),
+    ("repro_deadline_exceeded_total",
+     "Requests aborted because their deadline budget expired.",
+     None, {"api.deadline_exceeded": {}}),
+    ("repro_feedback_deduplicated_total",
+     "Feedback batches answered from the idempotency dedup map "
+     "instead of re-applied.",
+     None, {"service.feedback_deduplicated": {}}),
+)
+
+
 class Observability:
     """Process-wide observability state: metrics + event sink + tracing.
 
     Construct directly for tests; production code goes through
     :func:`configure`, which also installs the instance as the active
-    state and hooks the perf-timer span bridge.
+    state and as :data:`repro.perf.observer`, so that ``perf`` timers and
+    counters reach :meth:`span` and :meth:`count`.
     """
 
     def __init__(
@@ -126,20 +171,12 @@ class Observability:
         metrics: MetricsRegistry | None = None,
         events: EventLog | None = None,
         slow_ms: float = 500.0,
-        tracing: bool = True,
-        bucket_overrides: dict[str, tuple[float, ...]] | None = None,
     ) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = events
         self.slow_ms = float(slow_ms)
-        self.tracing = bool(tracing)
         self.history: TimeSeriesRecorder | None = None
         self.slo: SLOEngine | None = None
-        overrides = dict(bucket_overrides or {})
-
-        def _buckets(name: str, default: tuple[float, ...]):
-            return tuple(overrides.get(name, default))
-
         m = self.metrics
         self._requests = m.counter(
             "repro_requests_total",
@@ -150,72 +187,24 @@ class Observability:
             "repro_request_duration_seconds",
             "Server-side request duration, by route.",
             labelnames=("route",),
-            buckets=_buckets(
-                "repro_request_duration_seconds", DEFAULT_LATENCY_BUCKETS
-            ),
+            buckets=DEFAULT_LATENCY_BUCKETS,
         )
         self._slow_requests = m.counter(
             "repro_slow_requests_total",
             "Requests slower than the slow-request threshold, by route.",
             labelnames=("route",),
         )
-        self._solve_duration = m.histogram(
-            "repro_solve_duration_seconds",
-            "MaxEnt solver wall-clock per solve (INIT + OPTIM).",
-            buckets=_buckets(
-                "repro_solve_duration_seconds", DEFAULT_SOLVE_BUCKETS
-            ),
-        ).default()
-        self._solver_sweeps = m.counter(
-            "repro_solver_sweeps_total",
-            "Full solver sweeps across all solves.",
-        ).default()
-        self._cache_lookups = m.counter(
-            "repro_solve_cache_lookups_total",
-            "Solve-cache lookups, by result.",
-            labelnames=("result",),
-        )
-        self._feedback_batch = m.histogram(
-            "repro_feedback_batch_size",
-            "Feedback items per applied batch.",
-            buckets=_buckets("repro_feedback_batch_size", DEFAULT_SIZE_BUCKETS),
-        ).default()
-        self._wal_append = m.histogram(
-            "repro_wal_append_seconds",
-            "Durable write-ahead append per feedback batch.",
-            buckets=_buckets("repro_wal_append_seconds", DEFAULT_FSYNC_BUCKETS),
-        ).default()
-        self._compactions = m.counter(
-            "repro_store_compactions_total",
-            "Feedback-log folds into a fresh checkpoint.",
-        ).default()
-        self._compacted_records = m.counter(
-            "repro_store_compacted_records_total",
-            "WAL records pruned by compaction.",
-        ).default()
-        self._recoveries = m.counter(
-            "repro_store_recoveries_total",
-            "Session resumes that replayed a feedback-log tail.",
-        ).default()
-        self._recovered_batches = m.counter(
-            "repro_store_recovered_batches_total",
-            "Feedback batches replayed from the log during recovery.",
-        ).default()
-        self._shed = m.counter(
-            "repro_shed_total",
-            "Requests shed by admission control, by reason "
-            "(overloaded / draining).",
-            labelnames=("reason",),
-        )
-        self._deadline_exceeded = m.counter(
-            "repro_deadline_exceeded_total",
-            "Requests aborted because their deadline budget expired.",
-        ).default()
-        self._feedback_dedup = m.counter(
-            "repro_feedback_deduplicated_total",
-            "Feedback batches answered from the idempotency dedup map "
-            "instead of re-applied.",
-        ).default()
+        # instrument name -> (family, label values)
+        self._bound: dict[str, tuple] = {}
+        for name, help_text, buckets, feeds in INSTRUMENTS:
+            labelnames = tuple(next(iter(feeds.values())))
+            family = (
+                m.counter(name, help_text, labelnames)
+                if buckets is None
+                else m.histogram(name, help_text, labelnames, buckets)
+            )
+            for instrument, labels in feeds.items():
+                self._bound[instrument] = (family, labels)
         self._sessions_gauge = m.gauge(
             "repro_sessions_in_memory",
             "Live sessions held in memory by the manager.",
@@ -359,43 +348,39 @@ class Observability:
         self._hit_ratio_gauge.set(ratio)
 
     # ------------------------------------------------------------------
-    # Kernel-level recording (module helpers forward here)
+    # Instrument recording (repro.perf hands every timer and counter here)
     # ------------------------------------------------------------------
 
-    def record_solve(self, elapsed: float, sweeps: int) -> None:
-        self._solve_duration.observe(elapsed)
-        self._solver_sweeps.inc(sweeps)
+    def span(
+        self, name: str, path: str, started: float, elapsed: float,
+        failed: bool,
+    ) -> None:
+        """A ``perf.timer`` exit: a span of the active trace, and an
+        observation of the family bound to ``name`` unless it raised."""
+        trace = trace_module.current()
+        if trace is not None:
+            trace.add_span(path, started, elapsed, failed)
+        if not failed:
+            self._feed(name, elapsed)
 
-    def record_cache_lookup(self, hit: bool) -> None:
-        self._cache_lookups.labels(result="hit" if hit else "miss").inc()
+    def count(self, name: str, value: float) -> None:
+        """A ``perf.add``: a counter of the active trace, and the family
+        bound to ``name``."""
+        trace = trace_module.current()
+        if trace is not None:
+            trace.add_count(name, value)
+        self._feed(name, value)
 
-    def record_feedback_batch(self, size: int) -> None:
-        self._feedback_batch.observe(size)
-
-    def record_wal_append(self, seconds: float) -> None:
-        self._wal_append.observe(seconds)
-
-    def record_compaction(self, pruned_records: int) -> None:
-        self._compactions.inc()
-        self._compacted_records.inc(pruned_records)
-
-    def record_shed(self, reason: str) -> None:
-        self._shed.labels(reason=reason).inc()
-
-    def record_deadline_exceeded(self) -> None:
-        self._deadline_exceeded.inc()
-
-    def record_feedback_deduplicated(self) -> None:
-        self._feedback_dedup.inc()
-
-    def record_recovery(self, batches: int, warnings: int = 0) -> None:
-        self._recoveries.inc()
-        self._recovered_batches.inc(batches)
-        if warnings and self.events is not None:
-            self.events.emit(
-                {"event": "recovery_warning", "warnings": int(warnings),
-                 "replayed_batches": int(batches)}
-            )
+    def _feed(self, name: str, value: float) -> None:
+        bound = self._bound.get(name)
+        if bound is None:
+            return
+        family, labels = bound
+        child = family.labels(**labels) if labels else family.default()
+        if family.kind == "counter":
+            child.inc(value)
+        else:
+            child.observe(value)
 
 
 # ----------------------------------------------------------------------
@@ -417,10 +402,7 @@ def is_enabled() -> bool:
 
 def configure(
     event_log: str | EventLog | None = None,
-    metrics: MetricsRegistry | None = None,
     slow_ms: float = 500.0,
-    tracing: bool = True,
-    bucket_overrides: dict[str, tuple[float, ...]] | None = None,
     event_log_max_bytes: int | None = None,
     history: bool = False,
     history_interval: float = 1.0,
@@ -438,8 +420,7 @@ def configure(
     recorder (``/v1/metrics/history``); ``slos`` attaches the SLO engine
     (``True`` for :func:`~repro.obs.slo.default_slos`, or an explicit
     sequence of :class:`~repro.obs.slo.SLO`) and implies history.
-    ``bucket_overrides`` maps histogram family names to replacement
-    bucket edges.  Reconfiguring replaces the previous state (its event
+    Reconfiguring replaces the previous state (its event
     log is closed if it was opened here; its recorder is stopped).
     """
     global _active
@@ -449,10 +430,7 @@ def configure(
         if isinstance(event_log, (str, os.PathLike))
         else event_log
     )
-    state = Observability(
-        metrics=metrics, events=events, slow_ms=slow_ms, tracing=tracing,
-        bucket_overrides=bucket_overrides,
-    )
+    state = Observability(events=events, slow_ms=slow_ms)
     if slos is not None and slos is not False:
         state.enable_slos(
             slos=None if slos is True else slos,
@@ -466,7 +444,7 @@ def configure(
             interval=history_interval, capacity=history_capacity
         )
     _active = state
-    perf.trace_sink = PerfBridge() if tracing else None
+    perf.observer = state
     if previous is not None:
         previous.shutdown()
         if previous.events is not None and previous.events is not events:
@@ -479,81 +457,11 @@ def disable() -> None:
     global _active
     state = _active
     _active = None
-    perf.trace_sink = None
+    perf.observer = None
     if state is not None:
         state.shutdown()
         if state.events is not None:
             state.events.close()
-
-
-# ----------------------------------------------------------------------
-# Hot-path hooks (each is a no-op costing one global read while disabled)
-# ----------------------------------------------------------------------
-
-
-def solve_completed(elapsed: float, sweeps: int) -> None:
-    """Called by the solver after every finished solve."""
-    state = _active
-    if state is not None:
-        state.record_solve(elapsed, sweeps)
-
-
-def cache_lookup(hit: bool) -> None:
-    """Called by the solve cache on every lookup."""
-    state = _active
-    if state is not None:
-        state.record_cache_lookup(hit)
-
-
-def feedback_batch(size: int) -> None:
-    """Called by the service when a feedback batch is applied."""
-    state = _active
-    if state is not None:
-        state.record_feedback_batch(size)
-
-
-def wal_append(seconds: float) -> None:
-    """Called by the manager after each durable write-ahead append."""
-    state = _active
-    if state is not None:
-        state.record_wal_append(seconds)
-
-
-def compaction(pruned_records: int) -> None:
-    """Called when a feedback log is folded into a checkpoint."""
-    state = _active
-    if state is not None:
-        state.record_compaction(pruned_records)
-
-
-def recovery(batches: int, warnings: int = 0) -> None:
-    """Called when a resume replays a feedback-log tail."""
-    state = _active
-    if state is not None:
-        state.record_recovery(batches, warnings)
-
-
-def shed(reason: str) -> None:
-    """Called when admission control refuses a request (``overloaded``
-    / ``draining``)."""
-    state = _active
-    if state is not None:
-        state.record_shed(reason)
-
-
-def deadline_exceeded() -> None:
-    """Called when a request is aborted by its deadline budget."""
-    state = _active
-    if state is not None:
-        state.record_deadline_exceeded()
-
-
-def feedback_deduplicated() -> None:
-    """Called when an idempotency key answers a feedback batch from the
-    dedup map instead of re-applying it."""
-    state = _active
-    if state is not None:
-        state.record_feedback_deduplicated()
 
 
 def request_envelope(method: str, path: str, trace_id: str | None = None):
@@ -585,8 +493,7 @@ class _RequestEnvelope:
         self.error_kind: str | None = None
 
     def __enter__(self) -> "_RequestEnvelope":
-        state = _active
-        if state is not None and state.tracing:
+        if _active is not None:
             self.trace = trace_module.start(self.trace_id)
             self.trace_id = self.trace.trace_id
         self.started = time.perf_counter()

@@ -8,13 +8,14 @@ any parameter threading — the solver, whitening and projection code never
 learn that tracing exists.
 
 Spans come for free from :mod:`repro.perf`: while observability is
-enabled, :data:`repro.perf.trace_sink` is installed (see
-:class:`PerfBridge`) and every ``perf.timer`` block on the process-wide
-registry reports its nested slash path and duration into the active
-trace, whether or not the perf registry itself is recording.  A trace's
-span *tree* is therefore exactly the perf nesting tree ("solve/init" is a
-child of "solve"), and ``perf.add`` counters (solver sweeps, cache hits)
-land in :attr:`Trace.counters`.
+enabled, :data:`repro.perf.observer` holds the
+:class:`~repro.obs.Observability` state, and every ``perf.timer`` block
+on the process-wide registry reports its nested slash path and duration
+into the active trace (:meth:`~repro.obs.Observability.span`), whether
+or not the perf registry itself is recording.  A trace's span *tree* is
+therefore exactly the perf nesting tree ("solve/init" is a child of
+"solve"), and ``perf.add`` counters (solver sweeps, cache hits) land in
+:attr:`Trace.counters`.
 
 Trace ids are propagated over HTTP in the ``X-Repro-Trace-Id`` header:
 :class:`~repro.service.client.ServiceClient` sends one per request, the
@@ -69,7 +70,7 @@ class Trace:
         self._lock = threading.Lock()
         self._token = None
 
-    # -- recording (called via the perf bridge) -------------------------
+    # -- recording (called by Observability.span / .count) -------------
 
     def add_span(
         self, path: str, started: float, elapsed: float, failed: bool
@@ -149,26 +150,3 @@ def current() -> Trace | None:
     """The trace active in this context, if any."""
     return _current.get()
 
-
-class PerfBridge:
-    """Installed as :data:`repro.perf.trace_sink` while obs is enabled.
-
-    Forwards the process-wide perf registry's timer exits and counter
-    bumps into whatever trace is active in the calling context.  With no
-    active trace each forward is one contextvar read — cheap enough to
-    leave installed for the whole life of the service.
-    """
-
-    __slots__ = ()
-
-    def span(
-        self, path: str, started: float, elapsed: float, failed: bool
-    ) -> None:
-        trace = _current.get()
-        if trace is not None:
-            trace.add_span(path, started, elapsed, failed)
-
-    def count(self, name: str, value: float) -> None:
-        trace = _current.get()
-        if trace is not None:
-            trace.add_count(name, value)

@@ -32,15 +32,18 @@ Usage::
 ``GET /v1/stats`` route embeds it under ``"perf"`` together with an
 ``"enabled"`` marker.
 
-When :mod:`repro.obs` is enabled it installs a span bridge at
-:data:`trace_sink`: timer blocks on the *process-wide* registry then
-also report ``(path, start, duration)`` into whatever request trace is
-active in the calling context, whether or not the registry itself is
-recording — so the existing instrumentation points double as per-request
-spans with no extra call sites.  Timers are exception-safe either way:
-the nesting stack is popped on the ``with`` block's exit even when the
-body raises, so a failing solve can never corrupt the paths recorded by
-later requests on the same thread.
+``timer`` and ``add`` are the package's one instrumentation primitive.
+While :mod:`repro.obs` is enabled it installs its
+:class:`~repro.obs.Observability` state at :data:`observer`, and every
+timer exit and counter bump on the *process-wide* registry is handed to
+it, whether or not the registry itself is recording: the exit becomes a
+span of the active request trace, the bump one of its counters, and
+either feeds the metric family that ``repro.obs`` binds to the
+instrument's name (``solver.sweeps`` feeds ``repro_solver_sweeps_total``,
+the ``wal_append`` timer ``repro_wal_append_seconds``).  Timers are
+exception-safe either way: the nesting stack is popped on the ``with``
+block's exit even when the body raises, so a failing solve can never
+corrupt the paths recorded by later requests on the same thread.
 """
 
 from __future__ import annotations
@@ -49,12 +52,13 @@ import os
 import threading
 import time
 
-#: Span sink installed by :func:`repro.obs.configure` while tracing is
-#: enabled; ``None`` otherwise.  Must expose ``span(path, started,
-#: elapsed, failed)`` and ``count(name, value)``.  Only the process-wide
-#: :data:`registry` feeds it — private registries built by tests stay
-#: silent.
-trace_sink = None
+#: The :class:`repro.obs.Observability` state installed by
+#: :func:`repro.obs.configure`; ``None`` while observability is off.  It
+#: receives ``span(name, path, started, elapsed, failed)`` on each timer
+#: exit and ``count(name, value)`` on each counter bump.  Only the
+#: process-wide :data:`registry` feeds it — private registries built by
+#: tests stay silent.
+observer = None
 
 
 class _NullTimer:
@@ -101,9 +105,11 @@ class _Timer:
                 stack.pop()
         if reg.enabled:
             reg._record_timing(path, elapsed)
-        sink = trace_sink
-        if sink is not None and reg is registry:
-            sink.span(path, self.started, elapsed, exc_type is not None)
+        target = observer
+        if target is not None and reg is registry:
+            target.span(
+                self.name, path, self.started, elapsed, exc_type is not None
+            )
         return None
 
 
@@ -144,19 +150,17 @@ class PerfRegistry:
         """Context manager timing a block under the current nesting path.
 
         Live when the registry records *or* (process-wide registry only)
-        a trace sink is installed; the shared no-op otherwise.
+        an observer is installed; the shared no-op otherwise.
         """
-        if not self.enabled and (
-            trace_sink is None or self is not registry
-        ):
+        if not self.enabled and (observer is None or self is not registry):
             return _NULL_TIMER
         return _Timer(self, name)
 
     def add(self, name: str, value: float = 1) -> None:
-        """Increment counter ``name`` by ``value`` (no-op while disabled)."""
-        sink = trace_sink
-        if sink is not None and self is registry:
-            sink.count(name, value)
+        """Increment counter ``name`` by ``value``; live when :meth:`timer` is."""
+        target = observer
+        if target is not None and self is registry:
+            target.count(name, value)
         if not self.enabled:
             return
         with self._lock:

@@ -349,14 +349,14 @@ class ServiceAPI:
         except DeadlineExceededError as exc:
             # No retry_after: resending the same budget would burn it
             # again, so the client must decide, not blindly retry.
-            obs.deadline_exceeded()
+            perf.add("api.deadline_exceeded")
             return (
                 503,
                 {"error": str(exc), "kind": "deadline_exceeded"},
                 "deadline_exceeded",
             )
         except OverloadedError as exc:
-            obs.shed("overloaded")
+            perf.add("admission.shed_overloaded")
             return (
                 503,
                 {
@@ -367,7 +367,7 @@ class ServiceAPI:
                 "overloaded",
             )
         except DrainingError as exc:
-            obs.shed("draining")
+            perf.add("admission.shed_draining")
             return (
                 503,
                 {

@@ -46,7 +46,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import obs
 from repro.core.background import BackgroundModel
 from repro.core.equivalence import EquivalenceClasses
 from repro.core.parameters import ClassParameters
@@ -414,7 +413,6 @@ class SolveCache:
                 self._entries.move_to_end(key)
                 self._hits += 1
         if entry is not None:
-            obs.cache_lookup(hit=True)
             self._install(model, entry)
             return True
         if self.l2 is not None:
@@ -427,12 +425,10 @@ class SolveCache:
                 else:
                     self._l2_misses += 1
             if entry is not None:
-                obs.cache_lookup(hit=True)
                 self._install(model, entry)
                 return True
         with self._lock:
             self._misses += 1
-        obs.cache_lookup(hit=False)
         return False
 
     def _put_l1_locked(self, key: str, entry: _CacheEntry) -> None:

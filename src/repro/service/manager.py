@@ -514,7 +514,15 @@ class SessionManager:
         self._resumed += 1
         self._replayed_batches += len(state.records)
         if state.records or state.warnings:
-            obs.recovery(len(state.records), warnings=len(state.warnings))
+            perf.add("store.recoveries")
+            perf.add("store.recovered_batches", len(state.records))
+        observer = obs.active()
+        if state.warnings and observer is not None and observer.events is not None:
+            observer.events.emit({
+                "event": "recovery_warning",
+                "warnings": len(state.warnings),
+                "replayed_batches": len(state.records),
+            })
         return entry
 
     # ------------------------------------------------------------------
@@ -550,7 +558,8 @@ class SessionManager:
             entry.tail_records = 0
             if pruned:
                 self._compactions += 1
-                obs.compaction(pruned)
+                perf.add("store.compactions")
+                perf.add("store.compacted_records", pruned)
         else:
             self.store.put(entry.session_id, payload)
         self._checkpoints += 1
@@ -634,9 +643,13 @@ class SessionManager:
         model = entry.session.model
         if model.is_fitted or self.cache is None:
             return False
-        with perf.timer("service_fit"):
-            _, hit = self.cache.fit(model, data_fp=entry.data_fp)
-        perf.add("service.solve_cache_hits" if hit else "service.solves")
+        hit = False
+        try:
+            with perf.timer("service_fit"):
+                _, hit = self.cache.fit(model, data_fp=entry.data_fp)
+        finally:
+            # A solve that raised (an expired deadline) still missed.
+            perf.add("service.solve_cache_hits" if hit else "service.solves")
         return hit
 
     def view(
@@ -703,12 +716,12 @@ class SessionManager:
         client retry after an ambiguous failure depends on.
         """
         items = list(batch)
-        obs.feedback_batch(len(items))
+        perf.add("service.feedback_items", len(items))
         with self._checkout(session_id) as entry, perf.timer("service_feedback"):
             if idempotency_key is not None and idempotency_key in entry.idem:
                 entry.idem.move_to_end(idempotency_key)
                 self._deduplicated += 1
-                obs.feedback_deduplicated()
+                perf.add("service.feedback_deduplicated")
                 stats = self._stats_locked(entry)
                 stats["applied"] = list(entry.idem[idempotency_key])
                 stats["duplicate"] = True
@@ -749,12 +762,11 @@ class SessionManager:
         if not self.durable:
             return None
         chaos.hit("store.append")
-        start = time.perf_counter()
-        record = self.store.append_feedback(
-            entry.session_id, items, kind=kind, key=key
-        )
+        with perf.timer("wal_append"):
+            record = self.store.append_feedback(
+                entry.session_id, items, kind=kind, key=key
+            )
         self._wal_appends += 1
-        obs.wal_append(time.perf_counter() - start)
         return record
 
     def _wal_rollback(self, entry: _Entry, record) -> None:

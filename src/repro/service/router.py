@@ -54,6 +54,7 @@ from repro.service.api import (
     _request_ctx,
 )
 from repro.service.rpc import RpcClient, RpcConnectionClosed, RpcError
+from repro.service.store import validate_session_id
 from repro.service.worker import WorkerConfig, worker_main
 
 __all__ = [
@@ -437,8 +438,10 @@ class Router(ServiceAPI):
     def _create_session(self, body: dict, query: dict) -> tuple[int, dict]:
         # The router must know the session id before it can pick a
         # worker, so ids are minted here when the client supplied none —
-        # the worker then creates the session under this id.
-        sid = body.get("session_id") or uuid.uuid4().hex[:16]
+        # the worker then creates the session under this id.  A supplied
+        # id is checked before it is hashed, as one process checks it.
+        sid = body.get("session_id")
+        sid = uuid.uuid4().hex[:16] if sid is None else validate_session_id(sid)
         return self._forward(sid, {**body, "session_id": sid}, query)
 
     def _forward(

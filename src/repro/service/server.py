@@ -46,7 +46,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     #: Trace id of the request currently being handled (echoed back in the
-    #: response headers); None while observability/tracing is off.
+    #: response headers); None while observability is off.
     _trace_id: str | None = None
 
     def _handle(self, method: str) -> None:
@@ -54,7 +54,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         started = time.perf_counter()
         self._trace_id = (
             obs.accept_trace_id(self.headers.get(obs.TRACE_HEADER))
-            if state is not None and state.tracing
+            if state is not None
             else None
         )
         parsed = urlsplit(self.path)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import shutil
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,3 +33,15 @@ def two_cluster_data(rng) -> tuple[np.ndarray, np.ndarray]:
 def gaussian_data(rng) -> np.ndarray:
     """Plain standard-normal data (already 'explained' by the prior)."""
     return rng.standard_normal((200, 4))
+
+
+@pytest.fixture
+def short_tmp() -> Path:
+    """A fresh, empty directory with a short path, removed afterwards.
+
+    For TMPDIRs that hold fleet runtime directories: a worker's Unix
+    socket path must fit in ~107 bytes, which ``tmp_path`` can exceed.
+    """
+    path = Path(tempfile.mkdtemp(prefix="t-"))
+    yield path
+    shutil.rmtree(path, ignore_errors=True)

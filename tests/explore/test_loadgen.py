@@ -8,32 +8,34 @@ from repro.explore.loadgen import (
     LatencyRecorder,
     LoadGenConfig,
     format_report,
-    route_template,
     run_loadgen,
     write_report,
 )
+from repro.obs import route_template
 from repro.service import SessionManager
 from repro.service.server import start_background
 
 
 class TestRouteTemplate:
+    """The route keys the loadgen client records (``obs.route_template``)."""
+
     def test_session_paths_collapse(self):
         assert (
-            route_template("GET", "/v1", "/sessions/abc123/view")
+            route_template("GET", "/v1/sessions/abc123/view")[0]
             == "GET /v1/sessions/{id}/view"
         )
         assert (
-            route_template("DELETE", "/v1", "/sessions/abc123")
+            route_template("DELETE", "/v1/sessions/abc123")[0]
             == "DELETE /v1/sessions/{id}"
         )
 
     def test_collection_paths_untouched(self):
-        assert route_template("POST", "/v1", "/sessions") == "POST /v1/sessions"
-        assert route_template("GET", "/v1", "/stats") == "GET /v1/stats"
+        assert route_template("POST", "/v1/sessions")[0] == "POST /v1/sessions"
+        assert route_template("GET", "/v1/stats")[0] == "GET /v1/stats"
 
     def test_query_strings_stripped(self):
         assert (
-            route_template("GET", "/v1", "/sessions/x/view?detail=1")
+            route_template("GET", "/v1/sessions/x/view?detail=1")[0]
             == "GET /v1/sessions/{id}/view"
         )
 

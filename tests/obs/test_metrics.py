@@ -136,20 +136,13 @@ class TestConfigurableBuckets:
         assert max(DEFAULT_FSYNC_BUCKETS) <= 1.0
         assert max(DEFAULT_SOLVE_BUCKETS) >= 10.0
 
-    def test_observability_state_honors_bucket_overrides(self):
+    def test_wal_append_family_keeps_the_fsync_ladder(self):
         from repro.obs import Observability
         from repro.obs.metrics import DEFAULT_FSYNC_BUCKETS
 
-        state = Observability(
-            metrics=MetricsRegistry(),
-            bucket_overrides={
-                "repro_request_duration_seconds": (0.5, 1.0),
-            },
-        )
-        child = state._request_duration.labels(route="GET /x")
-        assert child.buckets == (0.5, 1.0)
-        # non-overridden families keep their purpose-built defaults
-        assert state._wal_append.buckets == tuple(
+        state = Observability(metrics=MetricsRegistry())
+        family = state.metrics.get("repro_wal_append_seconds")
+        assert family.default().buckets == tuple(
             sorted(b for b in DEFAULT_FSYNC_BUCKETS if b != float("inf"))
         )
 

@@ -1,4 +1,4 @@
-"""Trace context, id validation, and the perf-timer span bridge."""
+"""Trace context, id validation, and perf timers as request spans."""
 
 from __future__ import annotations
 
@@ -98,6 +98,8 @@ class TestTraceContext:
 
 
 class TestPerfBridge:
+    """The process-wide ``perf`` registry feeding the active trace."""
+
     def test_process_registry_timers_become_spans(self, obs_enabled):
         trace = trace_module.start()
         try:

@@ -286,13 +286,18 @@ def _stop_group(proc) -> None:
     proc.stderr.close()
 
 
-def _sigterm_then_resume(tmp_path, *serve_args):
-    """SIGTERM mid-session: drain, exit 0, successor serves the session."""
+def _sigterm_then_resume(tmp_path, tmpdir, *serve_args):
+    """SIGTERM mid-session: drain, exit 0, successor serves the session.
+
+    Each server exits on SIGTERM and leaves no fleet runtime directory
+    (``repro-shard-*``) in ``tmpdir``, its TMPDIR.
+    """
     store_url = f"sqlite:{tmp_path / 'sessions.db'}"
     env = {
         "PYTHONPATH": _REPO_SRC,
         "PATH": "/usr/bin:/bin:/usr/local/bin",
         "PYTHONUNBUFFERED": "1",
+        "TMPDIR": str(tmpdir),
     }
     argv = [
         sys.executable, "-m", "repro", "serve",
@@ -307,6 +312,14 @@ def _sigterm_then_resume(tmp_path, *serve_args):
             env=env, start_new_session=True,
         )
 
+    def terminate(server) -> str:
+        os.kill(server.pid, signal.SIGTERM)
+        server.wait(timeout=60)
+        assert server.returncode == 0
+        out, err = server.communicate(timeout=10)
+        assert not list(tmpdir.glob("repro-shard-*"))
+        return "".join([out or "", err or ""])
+
     worker = start()
     try:
         banner = _read_until(worker, "repro service on http://")
@@ -318,11 +331,7 @@ def _sigterm_then_resume(tmp_path, *serve_args):
         client.mark_cluster(sid, rows=range(8), label="pre-term")
         before = client.view(sid)
 
-        os.kill(worker.pid, signal.SIGTERM)
-        worker.wait(timeout=60)
-        assert worker.returncode == 0
-        out, err = worker.communicate(timeout=10)
-        combined = "".join([out or "", err or ""])
+        combined = terminate(worker)
         assert "drained:" in combined
         assert "1 session(s) checkpointed" in combined
     finally:
@@ -341,17 +350,20 @@ def _sigterm_then_resume(tmp_path, *serve_args):
         np.testing.assert_array_equal(
             np.asarray(after["axes"]), np.asarray(before["axes"])
         )
+        terminate(worker2)
     finally:
         _stop_group(worker2)
 
 
-def test_sigterm_drains_checkpoints_and_restart_resumes(tmp_path):
-    _sigterm_then_resume(tmp_path)
+def test_sigterm_drains_checkpoints_and_restart_resumes(tmp_path, short_tmp):
+    _sigterm_then_resume(tmp_path, short_tmp)
 
 
-def test_sharded_sigterm_drains_checkpoints_and_restart_resumes(tmp_path):
+def test_sharded_sigterm_drains_checkpoints_and_restart_resumes(
+    tmp_path, short_tmp
+):
     """The same over ``--workers 2``: the router drains the fleet."""
-    _sigterm_then_resume(tmp_path, "--workers", "2")
+    _sigterm_then_resume(tmp_path, short_tmp, "--workers", "2")
 
 
 def test_sharded_serve_refuses_single_process_options():

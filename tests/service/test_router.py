@@ -165,6 +165,43 @@ class TestRouting:
         assert "ghost" in payload["error"]
 
 
+_ABSENT = object()
+
+
+@pytest.mark.parametrize(
+    "session_id",
+    [5, 0, ["x"], "", "bad id!", _ABSENT, "ok-1"],
+    ids=["int", "zero", "list", "empty", "bad-chars", "absent", "valid"],
+)
+def test_session_id_is_validated_like_one_process(
+    session_id, two_cluster_data, tmp_path
+):
+    data, _ = two_cluster_data
+    body = {"dataset": "demo"}
+    if session_id is not _ABSENT:
+        body["session_id"] = session_id
+    socket_dir = str(tmp_path / "socks")
+    os.makedirs(socket_dir, exist_ok=True)
+
+    def factory(worker_id):
+        manager = SessionManager({"demo": data})
+        return InProcessWorker(
+            ServiceAPI(manager), manager, worker_id, socket_dir
+        )
+
+    single = ServiceAPI(SessionManager({"demo": data}))
+    router = Router(WorkerPool(2, factory), dataset_names=["demo"])
+    try:
+        one = single.dispatch("POST", "/v1/sessions", body=dict(body))
+        door = router.dispatch("POST", "/v1/sessions", body=dict(body))
+    finally:
+        router.close()
+    assert door[0] == one[0], (one, door)
+    assert one[0] in (201, 400)
+    if one[0] == 400:
+        assert door[1]["error"] == one[1]["error"]
+
+
 class TestLocalRoutes:
     def test_nothing_is_served_outside_v1(self, fleet):
         router, pool, _managers = fleet

@@ -141,3 +141,25 @@ class TestAutonomousExploreCLI:
         out = capsys.readouterr().out
         assert "req/s" in out
         assert output.exists()
+
+    def test_temporary_fleets_remove_their_runtime_directories(
+        self, tmp_path, short_tmp, monkeypatch, capsys
+    ):
+        # The loadgen fleet and the bench service suite's fleets each
+        # make a runtime directory (worker sockets, L2 cache, store).
+        import tempfile
+
+        from repro import bench
+
+        monkeypatch.setattr(tempfile, "tempdir", str(short_tmp))
+        assert main(
+            [
+                "loadgen", "--serve-workers", "2", "--sessions", "1",
+                "--workers", "1", "--rounds", "1", "--dataset", "three-d",
+                "--policy", "random-walk",
+                "--output", str(tmp_path / "BENCH_loadgen.json"),
+            ]
+        ) == 0
+        assert "req/s" in capsys.readouterr().out
+        assert bench.run_service_suite(quick=True)["suite"] == "service"
+        assert list(short_tmp.iterdir()) == []
