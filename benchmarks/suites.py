@@ -1,4 +1,6 @@
-"""`repro bench`: measured proof of the vectorized kernels.
+"""Benchmark suites: measured proof of the vectorized kernels.
+
+    PYTHONPATH=src python benchmarks/suites.py --quick --check benchmarks/baselines.json
 
 Six suites; the first two pit the batched implementations against the
 preserved pre-vectorization loops, the rest gate infrastructure
@@ -29,9 +31,11 @@ overhead ratios:
   overhead, and on multi-core runners the parallel speedup, are both
   held).  Writes ``BENCH_service.json``.
 
-With ``--check`` the vectorized timings are compared against the
-committed ``benchmarks/baselines.json`` (suite-keyed sections) and the
-run fails on a >tolerance regression (CI's ``bench-smoke`` job).
+Each suite writes its ``BENCH_<suite>.json`` to the working directory;
+``--suite NAME`` runs one suite.  With ``--check`` the vectorized
+timings are compared against the committed ``benchmarks/baselines.json``
+(suite-keyed sections) and the run exits 1 on a >tolerance regression
+(CI's ``bench-smoke`` job).
 
 All timings are best-of-``repeats`` to damp scheduler jitter; speedups
 are reference/vectorized on the same workload and sweep count.  The
@@ -1065,7 +1069,7 @@ def run_service_suite(quick: bool = False, seed: int = 0) -> dict:
     }
 
 
-#: Suite name -> runner; ``repro bench`` executes these in order.
+#: Suite name -> runner; :func:`main` executes these in order.
 SUITES = {
     "core_solver": run_core_solver_suite,
     "projection": run_projection_suite,
@@ -1169,33 +1173,51 @@ def format_payload(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def refresh_existing(output_dir: str | Path = ".") -> int:
-    """Re-run the pytest benchmark smoke suites to refresh BENCH_*.json.
+def main(argv: list[str] | None = None) -> int:
+    """Run the suites, write their artifacts, gate them on ``--check``."""
+    import argparse
 
-    Uses the service/loadgen modules CI already exercises.  The suite
-    paths are resolved relative to the repository this package was
-    imported from, so the command works from any working directory;
-    returns the pytest exit code (or 2 when the benchmarks directory is
-    not present, e.g. for a wheel install without the repo checkout).
-    """
-    import os
-    import subprocess
-
-    bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
-    suites = [
-        bench_dir / "bench_service_throughput.py",
-        bench_dir / "bench_explore_loadgen.py",
-    ]
-    missing = [str(p) for p in suites if not p.exists()]
-    if missing:
-        print(
-            "cannot refresh pytest benchmarks; suite files not found: "
-            + ", ".join(missing),
-            file=sys.stderr,
-        )
-        return 2
-    env = dict(os.environ)
-    env["BENCH_OUTPUT_DIR"] = str(Path(output_dir).resolve())
-    return subprocess.call(
-        [sys.executable, "-m", "pytest", *map(str, suites), "-q"], env=env
+    parser = argparse.ArgumentParser(
+        description="run the benchmark suites, write BENCH_<suite>.json"
     )
+    parser.add_argument(
+        "--quick",
+        action="store_true",
+        help="small workload for CI smoke runs (seconds, not minutes)",
+    )
+    parser.add_argument(
+        "--suite",
+        default="all",
+        choices=("all", *SUITES),
+        help="which suite to run (default: all)",
+    )
+    parser.add_argument(
+        "--check",
+        default=None,
+        metavar="PATH",
+        help="fail if timings regress past the baselines file "
+        "(e.g. benchmarks/baselines.json)",
+    )
+    args = parser.parse_args(argv)
+
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    failures: list[str] = []
+    for name in names:
+        payload = SUITES[name](quick=args.quick)
+        print(format_payload(payload))
+        print(f"bench artifact: {write_payload(payload)}")
+        if args.check is not None:
+            failures.extend(check_baselines(payload, args.check))
+    if args.check is not None:
+        if failures:
+            for failure in failures:
+                print(f"REGRESSION {failure}", file=sys.stderr)
+            return 1
+        print(f"baselines ok ({args.check})")
+    return 0
+
+
+# The guard matters: the service suite starts workers with ``spawn``,
+# which re-imports this script in every worker.
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -47,7 +47,6 @@ Package map
                       (``repro explore --policy ...``, ``repro loadgen``)
 ``repro.perf``        nested timers + counters wired through solver and
                       service; zero overhead unless enabled
-``repro.bench``       vectorized-core benchmark suites (``repro bench``)
 """
 
 from repro.core import (

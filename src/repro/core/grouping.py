@@ -18,7 +18,7 @@ not per call); from there two strategies apply:
   when one class dominates (``C·B`` far above ``n``) the padded tensor
   would be mostly zeros and the batched GEMM would burn memory and
   flops on padding — and as the reference opponent the property tests
-  and ``repro bench`` measure the GEMM path against.
+  and the ``projection`` benchmark suite measure the GEMM path against.
 
 Materialising a gathered ``(n, d, d)`` matrix stack would also avoid the
 loop but costs O(n·d²) memory (a gigabyte at n=8192, d=128); the padded
@@ -98,8 +98,8 @@ def apply_by_class_loop(
     """Per-class loop form of :func:`apply_by_class` (one matmul per class).
 
     The pre-GEMM implementation, kept verbatim: production falls back to
-    it for ragged partitions, and the parity tests / ``repro bench``
-    projection suite use it as the reference opponent.
+    it for ragged partitions, and the parity tests and the
+    ``projection`` benchmark suite use it as the reference opponent.
     """
     order, offsets = classes.scatter_plan
     blocks = values[order]

@@ -6,9 +6,10 @@ kernels replaced, kept verbatim so that
 * property tests can assert the vectorized kernels match them to
   ~machine precision across random shapes, singular covariances, and
   overlapping constraint sets, and
-* ``repro bench`` can measure the vectorized/loop speedup on the exact
-  code that used to run in production (the numbers committed to
-  ``benchmarks/baselines.json`` and ``BENCH_core_solver.json``).
+* the benchmark suites (``benchmarks/suites.py``) can measure the
+  vectorized/loop speedup on the exact code that used to run in
+  production (the numbers committed to ``benchmarks/baselines.json``
+  and ``BENCH_core_solver.json``).
 
 Nothing here is called by the production pipeline.
 """
@@ -238,9 +239,10 @@ def reference_optim_sweeps(
     parameters, two diagonal extractions per sweep for the drift
     bookkeeping, loop steps with no stats caching.  Targets can be passed
     in precomputed so the bench times pure OPTIM (as the solver's
-    ``optim_seconds`` does on the vectorized side).  ``repro bench``
-    times this against :func:`repro.core.solver.solve_maxent` driven for
-    the same sweep count.
+    ``optim_seconds`` does on the vectorized side).  The ``core_solver``
+    benchmark suite times this against
+    :func:`repro.core.solver.solve_maxent` driven for the same sweep
+    count.
     """
     data = np.asarray(data, dtype=np.float64)
     params = ClassParameters.prior(classes.n_classes, data.shape[1])

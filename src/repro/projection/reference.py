@@ -7,9 +7,10 @@ batched projection-pursuit kernels replaced, kept so that
   across random shapes, rank-deficient inputs, and zero-variance
   columns (the pyentropy estimator-parity discipline: every optimised
   estimator keeps its slow oracle), and
-* ``repro bench`` can measure the batched/serial speedup on the exact
-  code that used to run in production (the numbers committed to
-  ``benchmarks/baselines.json`` and ``BENCH_projection.json``).
+* the benchmark suites (``benchmarks/suites.py``) can measure the
+  batched/serial speedup on the exact code that used to run in
+  production (the numbers committed to ``benchmarks/baselines.json``
+  and ``BENCH_projection.json``).
 
 The serial loops apply the same stop tests as the batched kernel: the
 alignment test, and the plateau test of :mod:`repro.projection.fastica`

@@ -53,16 +53,12 @@ from repro.resilience.deadline import (
 from repro.resilience.drain import run_drain
 from repro.resilience.retry import (
     BREAKER_STATES,
-    MAX_TRACKED_BREAKERS,
     BreakerOpen,
     CircuitBreaker,
     RetryDecision,
     RetryPolicy,
     backoff_delay,
-    breaker_for,
     classify,
-    reset_breakers,
-    tracked_breaker_count,
 )
 
 __all__ = [
@@ -76,13 +72,11 @@ __all__ = [
     "DeadlineExceededError",
     "DrainingError",
     "FaultSpec",
-    "MAX_TRACKED_BREAKERS",
     "OverloadedError",
     "RetryDecision",
     "RetryPolicy",
     "active_chaos",
     "backoff_delay",
-    "breaker_for",
     "check_deadline",
     "classify",
     "configure_chaos",
@@ -90,7 +84,5 @@ __all__ = [
     "deadline_scope",
     "disable_chaos",
     "hit",
-    "reset_breakers",
     "run_drain",
-    "tracked_breaker_count",
 ]

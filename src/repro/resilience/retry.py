@@ -21,9 +21,8 @@ Replaces the client's original "retry connection-refused with a fixed
   ``failure_threshold`` consecutive failures the breaker opens and
   requests fail fast locally for ``cooldown`` seconds; then one probe
   request is let through (half-open) and its outcome decides between
-  closing and re-opening.  Clients default to a private breaker;
-  :func:`breaker_for` hands out process-wide per-host breakers so a
-  loadgen fleet shares one view of a struggling server.
+  closing and re-opening.  Each client holds its own breaker unless it
+  is handed one to share.
 """
 
 from __future__ import annotations
@@ -37,14 +36,10 @@ __all__ = [
     "BREAKER_STATES",
     "BreakerOpen",
     "CircuitBreaker",
-    "MAX_TRACKED_BREAKERS",
     "RetryDecision",
     "RetryPolicy",
     "backoff_delay",
-    "breaker_for",
     "classify",
-    "reset_breakers",
-    "tracked_breaker_count",
 ]
 
 #: Methods whose replay is safe without an idempotency key.
@@ -240,75 +235,3 @@ class CircuitBreaker:
                 "opened": self.open_count,
                 "rejected": self.rejected,
             }
-
-
-# ----------------------------------------------------------------------
-# Process-wide per-host registry (opt-in: ServiceClient(shared_breaker=True))
-# ----------------------------------------------------------------------
-
-#: Hard bound on registry size.  A long-lived process talking to an
-#: unbounded set of hosts (loadgen against ephemeral ports, a proxy fleet)
-#: must not leak one CircuitBreaker per host forever.
-MAX_TRACKED_BREAKERS = 128
-
-#: A breaker not asked for in this long is forgotten on the next access.
-#: Well past any cooldown window, so an evicted breaker's lost state is a
-#: breaker that would have re-closed anyway.
-BREAKER_IDLE_SECONDS = 600.0
-
-_registry_lock = threading.Lock()
-_breakers: dict[str, CircuitBreaker] = {}  # insertion order = LRU order
-_breaker_last_used: dict[str, float] = {}
-
-
-def breaker_for(host: str, **kwargs) -> CircuitBreaker:
-    """The process-wide breaker for ``host`` (created on first use).
-
-    Sharing one breaker per host is what stops a fleet of workers from
-    thundering-herd-probing a recovering server: the first probe's
-    outcome is visible to every client in the process.
-
-    The registry is bounded: entries idle longer than
-    :data:`BREAKER_IDLE_SECONDS` are dropped lazily, and past
-    :data:`MAX_TRACKED_BREAKERS` the least-recently-requested breaker is
-    evicted.  Clients already holding an evicted breaker keep using it;
-    only the *shared* view of that host resets (to closed — the safe
-    default for a host nobody has talked to in a while).
-    """
-    now = time.monotonic()
-    with _registry_lock:
-        breaker = _breakers.pop(host, None)
-        if breaker is None:
-            breaker = CircuitBreaker(host, **kwargs)
-        _breakers[host] = breaker  # re-insert = move to MRU end
-        _breaker_last_used[host] = now
-        _evict_breakers_locked(now)
-        return breaker
-
-
-def _evict_breakers_locked(now: float) -> None:
-    idle = [
-        h
-        for h, used in _breaker_last_used.items()
-        if now - used > BREAKER_IDLE_SECONDS
-    ]
-    for host in idle:
-        _breakers.pop(host, None)
-        _breaker_last_used.pop(host, None)
-    while len(_breakers) > MAX_TRACKED_BREAKERS:
-        oldest = next(iter(_breakers))
-        _breakers.pop(oldest, None)
-        _breaker_last_used.pop(oldest, None)
-
-
-def tracked_breaker_count() -> int:
-    """How many hosts the shared registry currently tracks."""
-    with _registry_lock:
-        return len(_breakers)
-
-
-def reset_breakers() -> None:
-    """Drop every shared breaker (tests; between independent runs)."""
-    with _registry_lock:
-        _breakers.clear()
-        _breaker_last_used.clear()

@@ -35,7 +35,6 @@ from repro.resilience.retry import (
     BreakerOpen,
     CircuitBreaker,
     backoff_delay,
-    breaker_for,
     classify,
 )
 from repro.service.api import API_VERSION, DEADLINE_HEADER, IDEMPOTENCY_HEADER
@@ -115,11 +114,10 @@ class ServiceClient:
         When set, every request carries it as ``X-Repro-Deadline-Ms`` —
         the server aborts work that cannot finish inside the budget.
     breaker:
-        A :class:`~repro.resilience.retry.CircuitBreaker` to use, or
-        ``None`` for a private per-client one.  ``shared_breaker=True``
-        uses the process-wide per-host breaker instead, so a fleet of
-        workers shares one view of a struggling server.
-        ``breaker=False`` disables the breaker entirely.
+        A :class:`~repro.resilience.retry.CircuitBreaker` to use (pass
+        one instance to several clients to share it), or ``None`` for a
+        private per-client one.  ``breaker=False`` disables the breaker
+        entirely.
 
     Every request carries a fresh ``X-Repro-Trace-Id`` header; a server
     with observability enabled adopts it for the request's trace and
@@ -146,7 +144,6 @@ class ServiceClient:
         retry_budget: float = 15.0,
         deadline_ms: float | None = None,
         breaker: CircuitBreaker | bool | None = None,
-        shared_breaker: bool = False,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
@@ -168,8 +165,6 @@ class ServiceClient:
             self.breaker: CircuitBreaker | None = None
         elif isinstance(breaker, CircuitBreaker):
             self.breaker = breaker
-        elif shared_breaker:
-            self.breaker = breaker_for(self.base_url)
         else:
             self.breaker = CircuitBreaker(self.base_url)
         self.last_trace_id: str | None = None

@@ -45,6 +45,7 @@ import uuid
 from dataclasses import replace
 
 from repro import obs
+from repro.datasets import DATASETS
 from repro.resilience.admission import AdmissionController
 from repro.resilience.drain import DEFAULT_DRAIN_BUDGET
 from repro.service.api import (
@@ -75,6 +76,10 @@ _FORWARDED_METHODS = ("GET", "POST", "PUT", "PATCH", "DELETE")
 #: Virtual nodes per worker on the ring: enough that removing one worker
 #: spreads its sessions roughly evenly over the survivors.
 VNODES = 64
+
+#: Longest Unix socket path ``bind`` accepts on Linux: ``sun_path`` holds
+#: 108 bytes, one of them the terminating NUL.
+MAX_SOCKET_PATH_BYTES = 107
 
 
 class WorkerDiedError(Exception):
@@ -206,12 +211,12 @@ class ProcessWorker(_BaseWorker):
     class of fork-corruption bugs is excluded by construction.
     """
 
-    def __init__(self, config: WorkerConfig, start_method: str = "spawn") -> None:
+    def __init__(self, config: WorkerConfig) -> None:
         super().__init__(config.worker_id, config.socket_path)
         import multiprocessing
 
         self.config = config
-        ctx = multiprocessing.get_context(start_method)
+        ctx = multiprocessing.get_context("spawn")
         self.process = ctx.Process(
             target=worker_main,
             args=(config,),
@@ -234,6 +239,9 @@ class ProcessWorker(_BaseWorker):
                 self.call({"op": "shutdown"}, timeout=join_timeout)
             except WorkerDiedError:
                 pass
+            # The shutdown call opened a fresh client and, on a reply,
+            # returned it to the pool.
+            self.close_clients()
             self.process.join(timeout=join_timeout)
         if self.process.is_alive():
             self.process.terminate()
@@ -381,6 +389,9 @@ class Router(ServiceAPI):
         wait for its respawned replacement.
     admission:
         Front-door admission controller (shedding + drain).
+    dataset_names:
+        What ``/v1/stats`` lists while no worker answers; default the
+        names in :data:`repro.datasets.DATASETS`.
     """
 
     records_requests = False
@@ -404,7 +415,9 @@ class Router(ServiceAPI):
         self._owners: dict[str, int] = {}
         self._owners_lock = threading.Lock()
         self._respawn_lock = threading.Lock()
-        self._dataset_names = dataset_names
+        self._dataset_names = (
+            sorted(DATASETS) if dataset_names is None else dataset_names
+        )
         self.reroutes = 0
         self.releases = 0
         self.rpc_errors = 0
@@ -701,7 +714,7 @@ class Router(ServiceAPI):
                 payload["datasets"] = w["datasets"]
                 break
         else:
-            payload["datasets"] = self._dataset_names or []
+            payload["datasets"] = self._dataset_names
         return 200, payload
 
     def _workers_route(self, body: dict, query: dict) -> tuple[int, dict]:
@@ -815,16 +828,28 @@ def start_fleet(
     ``store_url`` every worker opens that store, so the router rebalances
     a dead worker's sessions onto survivors.  ``router_options`` go to
     :class:`Router`.
+
+    Raises ``ValueError``, before any worker starts, when a socket path
+    is longer than ``bind`` accepts; a worker would otherwise die at
+    start-up and the fleet would only report it never became ready.
     """
+    paths = [os.path.join(runtime_dir, f"worker-{i}.sock") for i in range(size)]
+    for path in paths:
+        # Measured as given: bind resolves a relative path against the
+        # working directory, so only its own bytes count.
+        length = len(os.fsencode(path))
+        if length > MAX_SOCKET_PATH_BYTES:
+            raise ValueError(
+                f"worker socket path {path!r} is {length} bytes; Unix "
+                f"sockets allow at most {MAX_SOCKET_PATH_BYTES}"
+            )
 
     def factory(worker_id: int) -> ProcessWorker:
         return ProcessWorker(
             replace(
                 config,
                 worker_id=worker_id,
-                socket_path=os.path.join(
-                    runtime_dir, f"worker-{worker_id}.sock"
-                ),
+                socket_path=paths[worker_id],
                 obs_log=(
                     f"{config.obs_log}.worker{worker_id}"
                     if config.obs_log

@@ -114,7 +114,7 @@ class RpcClient:
 
     ``call`` is locked so a client instance can be shared, but the
     intended shape is a pool of clients per worker (see
-    ``router._WorkerLink``): one outstanding request per connection.
+    ``router._BaseWorker``): one outstanding request per connection.
     """
 
     def __init__(

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.service.rpc import RpcServer
 
@@ -47,11 +47,11 @@ class WorkerConfig:
     """Everything a spawned worker needs to build its service stack.
 
     Plain picklable fields only — this crosses the process boundary as
-    the single ``spawn`` argument.  ``datasets`` names a registry:
-    ``"cli"`` (the default) resolves :data:`repro.cli.DATASETS` inside
-    the worker, so datasets load lazily per process instead of being
-    pickled across.  :func:`~repro.service.router.start_fleet` sets
-    ``worker_id`` and ``socket_path`` for each worker it spawns.
+    the single ``spawn`` argument.  Every worker serves
+    :data:`repro.datasets.DATASETS`, each dataset built lazily in the
+    process that first needs it rather than pickled across.
+    :func:`~repro.service.router.start_fleet` sets ``worker_id`` and
+    ``socket_path`` for each worker it spawns.
     """
 
     worker_id: int = 0
@@ -66,16 +66,6 @@ class WorkerConfig:
     obs: bool = False
     obs_log: str | None = None
     slow_ms: float = 500.0
-    datasets: str = "cli"
-    extra: dict = field(default_factory=dict)
-
-
-def _resolve_datasets(spec: str):
-    if spec == "cli":
-        from repro.cli import DATASETS
-
-        return DATASETS
-    raise ValueError(f"unknown dataset registry {spec!r}")
 
 
 def build_worker_api(config: WorkerConfig, **api_options):
@@ -85,6 +75,7 @@ def build_worker_api(config: WorkerConfig, **api_options):
     HTTP, passing its ``admission`` and ``drain_budget`` through
     ``api_options``.
     """
+    from repro.datasets import DATASETS
     from repro.service.api import ServiceAPI
     from repro.service.cache import L2SolveCache, SolveCache
     from repro.service.manager import SessionManager
@@ -103,7 +94,7 @@ def build_worker_api(config: WorkerConfig, **api_options):
         )
         cache = SolveCache(max_entries=config.cache_size, l2=l2)
     manager = SessionManager(
-        _resolve_datasets(config.datasets),
+        DATASETS,
         store=store,
         cache=cache,
         max_sessions=config.max_sessions,

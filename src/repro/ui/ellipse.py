@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from repro.errors import DataShapeError
 
@@ -60,7 +59,9 @@ def confidence_ellipse(
 
     The ellipse is the ``level`` probability contour of the Gaussian with
     the sample mean and covariance of ``points`` (chi-square quantile with
-    2 degrees of freedom scales the covariance eigenvalues).
+    2 degrees of freedom scales the covariance eigenvalues).  With 2
+    degrees of freedom the chi-square CDF is ``1 - exp(-x / 2)``, so the
+    quantile has the closed form ``-2 log(1 - level)``.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
@@ -73,7 +74,7 @@ def confidence_ellipse(
     cov = np.cov(pts, rowvar=False)
     eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
     eigvals = np.maximum(eigvals, 0.0)
-    scale = float(chi2.ppf(level, df=2))
+    scale = float(-2.0 * np.log1p(-level))
     radii = np.sqrt(scale * eigvals)
     order = np.argsort(radii)[::-1]
     return ConfidenceEllipse(

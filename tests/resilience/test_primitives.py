@@ -12,7 +12,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.resilience import (
-    MAX_TRACKED_BREAKERS,
     AdmissionController,
     BreakerOpen,
     ChaosError,
@@ -21,16 +20,12 @@ from repro.resilience import (
     DrainingError,
     OverloadedError,
     backoff_delay,
-    breaker_for,
     check_deadline,
     classify,
     current_deadline,
     deadline_scope,
-    reset_breakers,
     run_drain,
-    tracked_breaker_count,
 )
-from repro.resilience.retry import BREAKER_IDLE_SECONDS
 from repro.resilience import chaos as chaos_module
 from repro.resilience.chaos import (
     ChaosRegistry,
@@ -264,79 +259,6 @@ class TestCircuitBreaker:
         # A fresh cooldown must elapse before the next probe.
         with pytest.raises(BreakerOpen):
             breaker.acquire()
-
-    def test_shared_registry_hands_out_one_breaker_per_host(self):
-        reset_breakers()
-        try:
-            a = breaker_for("http://host-a")
-            assert breaker_for("http://host-a") is a
-            assert breaker_for("http://host-b") is not a
-        finally:
-            reset_breakers()
-
-
-class TestBreakerRegistryBounds:
-    """The shared registry must not grow with the set of hosts ever seen.
-
-    Regression for an unbounded-dict leak: a client sweeping many
-    one-shot hosts (or an attacker varying the Host header) used to pin
-    a CircuitBreaker per host forever.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _clean_registry(self):
-        reset_breakers()
-        yield
-        reset_breakers()
-
-    def test_registry_is_capped(self):
-        for i in range(MAX_TRACKED_BREAKERS * 4):
-            breaker_for(f"http://host-{i}")
-        assert tracked_breaker_count() == MAX_TRACKED_BREAKERS
-
-    def test_cap_evicts_least_recently_requested(self):
-        hot = breaker_for("http://hot")
-        for i in range(MAX_TRACKED_BREAKERS * 2):
-            breaker_for(f"http://cold-{i}")
-            breaker_for("http://hot")  # keep it at the MRU end
-        assert breaker_for("http://hot") is hot
-        # The earliest cold hosts fell off the LRU end.
-        assert breaker_for("http://cold-0") is not None
-        assert tracked_breaker_count() <= MAX_TRACKED_BREAKERS
-
-    def test_idle_breakers_are_forgotten(self, monkeypatch):
-        from repro.resilience import retry as retry_module
-
-        clock = {"now": 1000.0}
-        monkeypatch.setattr(
-            retry_module.time, "monotonic", lambda: clock["now"]
-        )
-        stale = breaker_for("http://stale")
-        clock["now"] += BREAKER_IDLE_SECONDS + 1.0
-        breaker_for("http://fresh")  # any access sweeps idle entries
-        assert tracked_breaker_count() == 1
-        assert breaker_for("http://stale") is not stale
-
-    def test_evicted_breaker_resets_shared_view_to_closed(
-        self, monkeypatch
-    ):
-        from repro.resilience import retry as retry_module
-
-        clock = {"now": 1000.0}
-        monkeypatch.setattr(
-            retry_module.time, "monotonic", lambda: clock["now"]
-        )
-        held = breaker_for("http://flaky", failure_threshold=1)
-        held.record_failure()
-        assert held.state == "open"
-        clock["now"] += BREAKER_IDLE_SECONDS + 1.0
-        breaker_for("http://other")  # sweep
-        # A client still holding the evicted breaker keeps its state …
-        assert held.state == "open"
-        # … but the shared view of the host starts closed again.
-        fresh = breaker_for("http://flaky")
-        assert fresh is not held
-        assert fresh.state == "closed"
 
 
 class TestChaos:

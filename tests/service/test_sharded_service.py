@@ -20,14 +20,19 @@ import json
 import os
 import time
 
+import pytest
+
+import repro.service.router as router_module
 from repro.cli import DATASETS
 from repro.service.api import ServiceAPI
 from repro.service.manager import SessionManager
 from repro.service.router import (
+    MAX_SOCKET_PATH_BYTES,
     HashRing,
     ProcessWorker,
     Router,
     WorkerPool,
+    start_fleet,
 )
 from repro.service.worker import WorkerConfig
 from repro.store import store_from_url
@@ -217,3 +222,28 @@ class TestCrashMigration:
             assert payload["workers"]["alive"] == 2
         finally:
             router.close()
+
+
+class TestFleetLifecycle:
+    def test_close_leaves_no_pooled_rpc_client(self, short_tmp):
+        # Terminating a worker sends `shutdown` over a fresh client; that
+        # client must be closed too, not left in the pool.
+        router = start_fleet(2, WorkerConfig(), str(short_tmp))
+        workers = router.pool.workers()
+        router.close()
+        assert [w.alive() for w in workers] == [False, False]
+        assert [len(w._clients) for w in workers] == [0, 0]
+
+    def test_too_long_socket_path_fails_before_any_worker_starts(
+        self, tmp_path, monkeypatch
+    ):
+        def no_spawn(config):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(router_module, "ProcessWorker", no_spawn)
+        runtime_dir = str(tmp_path / "r").ljust(120, "x")
+        with pytest.raises(ValueError) as raised:
+            start_fleet(2, WorkerConfig(), runtime_dir)
+        message = str(raised.value)
+        assert os.path.join(runtime_dir, "worker-0.sock") in message
+        assert str(MAX_SOCKET_PATH_BYTES) in message

@@ -1,13 +1,12 @@
-"""Tests for the `repro bench` suites and baseline regression gate."""
+"""Tests for the benchmark suites and their baseline regression gate."""
 
 import json
 
 import numpy as np
 import pytest
 
-import repro.bench as bench
+import benchmarks.suites as bench
 from repro import perf
-from repro.cli import main
 from repro.core.equivalence import build_equivalence_classes
 
 
@@ -227,8 +226,7 @@ class TestSuite:
     def test_committed_baselines_cover_both_suites(self):
         committed = json.loads(
             (
-                __import__("pathlib").Path(bench.__file__).resolve().parents[2]
-                / "benchmarks"
+                __import__("pathlib").Path(bench.__file__).resolve().parent
                 / "baselines.json"
             ).read_text()
         )
@@ -240,11 +238,10 @@ class TestSuite:
 
 class TestCli:
     def test_bench_command_writes_both_artifacts(
-        self, tiny_sizes, tmp_path, capsys
+        self, tiny_sizes, tmp_path, monkeypatch, capsys
     ):
-        status = main(
-            ["bench", "--quick", "--output-dir", str(tmp_path)]
-        )
+        monkeypatch.chdir(tmp_path)
+        status = bench.main(["--quick"])
         assert status == 0
         out = capsys.readouterr().out
         assert "suite core_solver (quick)" in out
@@ -254,25 +251,20 @@ class TestCli:
         assert (tmp_path / "BENCH_projection.json").exists()
         assert (tmp_path / "BENCH_obs.json").exists()
 
-    def test_bench_command_single_suite(self, tiny_sizes, tmp_path, capsys):
-        status = main(
-            [
-                "bench",
-                "--quick",
-                "--suite",
-                "projection",
-                "--output-dir",
-                str(tmp_path),
-            ]
-        )
+    def test_bench_command_single_suite(
+        self, tiny_sizes, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        status = bench.main(["--quick", "--suite", "projection"])
         assert status == 0
         assert "suite projection (quick)" in capsys.readouterr().out
         assert not (tmp_path / "BENCH_core_solver.json").exists()
         assert (tmp_path / "BENCH_projection.json").exists()
 
     def test_bench_command_check_failure_exits_nonzero(
-        self, tiny_sizes, tmp_path, capsys
+        self, tiny_sizes, tmp_path, monkeypatch, capsys
     ):
+        monkeypatch.chdir(tmp_path)
         strict = tmp_path / "strict.json"
         strict.write_text(
             json.dumps({
@@ -281,16 +273,7 @@ class TestCli:
                 "projection": {"quick": {"fastica_vectorized_s": 1e-12}},
             })
         )
-        status = main(
-            [
-                "bench",
-                "--quick",
-                "--output-dir",
-                str(tmp_path),
-                "--check",
-                str(strict),
-            ]
-        )
+        status = bench.main(["--quick", "--check", str(strict)])
         assert status == 1
         err = capsys.readouterr().err
         assert "REGRESSION" in err

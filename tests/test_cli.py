@@ -1,8 +1,22 @@
 """Tests for the command-line interface."""
 
+import importlib
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
-from repro.cli import DATASETS, EXPERIMENTS, build_parser, main
+from repro.cli import (
+    DATASETS,
+    EXPERIMENT_MODULES,
+    EXPERIMENTS,
+    build_parser,
+    main,
+)
+
+_REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestParser:
@@ -74,6 +88,70 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "round 0" in out
         assert "final top |score|" in out
+
+    def test_each_experiment_names_a_harness_with_run(self):
+        # Imports only: running them is tests/experiments' job.
+        assert set(EXPERIMENT_MODULES) == set(EXPERIMENTS)
+        for name, module in EXPERIMENT_MODULES.items():
+            assert callable(importlib.import_module(module).run), name
+
+    def test_serve_rejects_a_too_long_socket_path_before_spawning(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import tempfile
+
+        import repro.service.router as router
+
+        def no_spawn(config):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(router, "ProcessWorker", no_spawn)
+        long_dir = tmp_path / ("d" * 100)
+        long_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(long_dir))
+        assert main(["serve", "--workers", "2", "--port", "0"]) == 2
+        err = capsys.readouterr().err
+        assert str(long_dir) in err
+        assert "worker-0.sock" in err
+        assert str(router.MAX_SOCKET_PATH_BYTES) in err
+        assert list(long_dir.iterdir()) == []
+
+
+class TestImportBoundary:
+    def test_serving_loads_no_experiment_ui_or_scipy_stats(self):
+        """What ``repro serve`` runs leaves the paper harnesses unloaded."""
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import repro.cli
+            import repro.datasets
+            # What cmd_serve imports, in one process or a fleet.
+            from repro.service import ReproServer, serve
+            from repro.service.router import start_fleet
+            from repro.service.worker import WorkerConfig, build_worker_api
+            from repro.store import store_from_url
+
+            repro.cli.build_parser().parse_args(["serve"])
+            build_worker_api(WorkerConfig()).close()
+            assert repro.cli.DATASETS is repro.datasets.DATASETS
+            loaded = [
+                name
+                for name in ("repro.experiments", "repro.ui", "scipy.stats")
+                if name in sys.modules
+            ]
+            print(" ".join(loaded))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={"PYTHONPATH": _REPO_SRC, "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
 
 class TestAutonomousExploreCLI:
@@ -149,7 +227,7 @@ class TestAutonomousExploreCLI:
         # make a runtime directory (worker sockets, L2 cache, store).
         import tempfile
 
-        from repro import bench
+        from benchmarks.suites import run_service_suite
 
         monkeypatch.setattr(tempfile, "tempdir", str(short_tmp))
         assert main(
@@ -161,5 +239,5 @@ class TestAutonomousExploreCLI:
             ]
         ) == 0
         assert "req/s" in capsys.readouterr().out
-        assert bench.run_service_suite(quick=True)["suite"] == "service"
+        assert run_service_suite(quick=True)["suite"] == "service"
         assert list(short_tmp.iterdir()) == []

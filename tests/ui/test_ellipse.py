@@ -33,6 +33,21 @@ class TestConfidenceEllipse:
         ellipse = confidence_ellipse(points)
         assert ellipse.radii[0] >= ellipse.radii[1]
 
+    @pytest.mark.parametrize("level", [0.5, 0.68, 0.9, 0.95, 0.99, 0.999])
+    def test_radii_scale_by_the_chi2_quantile(self, rng, level):
+        # The closed-form 2-dof quantile agrees with SciPy's to rounding.
+        from scipy.stats import chi2
+
+        points = rng.standard_normal((300, 2)) * np.array([3.0, 0.5])
+        ellipse = confidence_ellipse(points, level=level)
+        cov = np.cov(points, rowvar=False)
+        eigvals = np.linalg.eigh(0.5 * (cov + cov.T))[0][::-1]
+        np.testing.assert_allclose(
+            ellipse.radii,
+            np.sqrt(chi2.ppf(level, df=2) * eigvals),
+            rtol=1e-14,
+        )
+
     def test_level_changes_size(self, rng):
         points = rng.standard_normal((1000, 2))
         small = confidence_ellipse(points, level=0.5)
