@@ -22,7 +22,7 @@ from repro.core.background import BackgroundModel
 from repro.core.constraint import Constraint, ConstraintKind
 from repro.core.session import ExplorationSession
 from repro.errors import DataShapeError
-from repro.feedback import feedback_from_dict
+from repro.feedback import _as_rows, feedback_from_dict
 
 #: Format marker written into every file; bump on breaking changes.
 #: v2 added the typed feedback log (``feedback_log``); v1 files (undo
@@ -53,13 +53,17 @@ def constraint_to_dict(constraint: Constraint) -> dict:
 
 
 def constraint_from_dict(payload: dict) -> Constraint:
-    """Rebuild a constraint from its JSON form."""
+    """Rebuild a constraint from its JSON form.
+
+    Rows must be integers, as in feedback payloads: casting would move a
+    float or a numeric string onto a row the checkpoint never named.
+    """
     try:
         kind = ConstraintKind(payload["kind"])
-        rows = np.asarray(payload["rows"], dtype=np.intp)
+        rows = np.asarray(_as_rows(payload["rows"]), dtype=np.intp)
         w = np.asarray(payload["w"], dtype=np.float64)
         label = str(payload.get("label", ""))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataShapeError(f"malformed constraint payload: {exc}") from exc
     return Constraint(kind, rows, w, label=label)
 

@@ -79,6 +79,22 @@ def select_knn_blob(projected: np.ndarray, seed_point: int, k: int) -> np.ndarra
     return np.sort(np.argsort(dist)[: min(k, pts.shape[0])])
 
 
+def selection_rows(rows: Sequence[int] | np.ndarray) -> np.ndarray:
+    """A selection as sorted, unique ``intp`` row indices.
+
+    Only integer row indices are accepted: casting would truncate floats
+    onto other rows, parse numeric strings and read a boolean mask as rows
+    {0, 1}.  An empty selection passes.
+    """
+    arr = np.asarray(rows)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise DataShapeError(
+            f"selection must hold integer row indices, got dtype {arr.dtype}"
+            + ("; pass np.flatnonzero(mask)" if arr.dtype == np.bool_ else "")
+        )
+    return np.unique(arr.astype(np.intp))
+
+
 class SelectionStore:
     """Named, saved selections (SIDER's 'previously saved groupings')."""
 
@@ -86,8 +102,8 @@ class SelectionStore:
         self._groups: dict[str, np.ndarray] = {}
 
     def save(self, name: str, rows: Sequence[int] | np.ndarray) -> None:
-        """Save (or overwrite) a named selection."""
-        arr = np.unique(np.asarray(rows, dtype=np.intp))
+        """Save (or overwrite) a named, non-empty selection."""
+        arr = selection_rows(rows)
         if arr.size == 0:
             raise DataShapeError("refusing to save an empty selection")
         self._groups[name] = arr

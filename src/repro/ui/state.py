@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import DataShapeError
 from repro.projection import registry
-from repro.ui.selection import SelectionStore
+from repro.ui.selection import SelectionStore, selection_rows
 
 
 class Objective(enum.Enum):
@@ -91,17 +91,10 @@ class UIState:
     def set_selection(self, rows: np.ndarray, n_rows: int) -> None:
         """Replace the selection (validated against the dataset size).
 
-        Only integer row indices are accepted — casting would truncate
-        floats onto other rows and read a boolean mask as rows {0, 1}.
-        An empty selection is always legal.
+        Rows are checked by :func:`~repro.ui.selection.selection_rows`;
+        an empty selection is always legal.
         """
-        arr = np.asarray(rows)
-        if arr.size and arr.dtype.kind not in "iu":
-            raise DataShapeError(
-                f"selection must hold integer row indices, got dtype {arr.dtype}"
-                + ("; pass np.flatnonzero(mask)" if arr.dtype == np.bool_ else "")
-            )
-        arr = np.unique(arr.astype(np.intp))
+        arr = selection_rows(rows)
         if arr.size and (arr[0] < 0 or arr[-1] >= n_rows):
             raise DataShapeError("selection out of range")
         self.selection = arr

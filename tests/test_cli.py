@@ -153,6 +153,60 @@ class TestImportBoundary:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
 
+    def test_a_served_solve_loads_no_scipy(self):
+        """A worker fits a cluster mark and serves its view without SciPy."""
+        script = textwrap.dedent(
+            """
+            import sys
+
+            from repro.core import updates
+            from repro.service.worker import WorkerConfig, build_worker_api
+
+            # The MaxEnt solver's quadratic step, counted.
+            calls = []
+            find_root = updates.find_monotone_root
+
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return find_root(*args, **kwargs)
+
+            updates.find_monotone_root = counted
+            api = build_worker_api(WorkerConfig())
+            status, created = api.dispatch(
+                "POST", "/v1/sessions", {"dataset": "three-d"}
+            )
+            assert status == 201, created
+            sid = created["session_id"]
+            mark = {"kind": "cluster", "rows": list(range(50)), "label": "a"}
+            status, reply = api.dispatch(
+                "POST", f"/v1/sessions/{sid}/feedback", {"feedback": [mark]}
+            )
+            assert status == 200, reply
+            status, view = api.dispatch(
+                "GET", f"/v1/sessions/{sid}/view", query={"detail": "1"}
+            )
+            assert status == 200 and view["row_surprise"], view
+            api.close()
+            loaded = sorted(
+                name
+                for name in sys.modules
+                if name == "scipy" or name.startswith("scipy.")
+            )
+            print(len(calls), " ".join(loaded))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={"PYTHONPATH": _REPO_SRC, "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        calls, *loaded = proc.stdout.split()
+        assert int(calls) > 0
+        assert loaded == []
+
 
 class TestAutonomousExploreCLI:
     def test_parser_policy_flags(self):

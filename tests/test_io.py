@@ -51,6 +51,20 @@ class TestConstraintRoundtrip:
         with pytest.raises(DataShapeError):
             constraint_from_dict({"kind": "nope", "rows": [0], "w": [1.0]})
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [0.5, 1.9, 2.2],  # would truncate onto rows {0, 1, 2}
+            ["3", "4"],  # would parse into rows {3, 4}
+            [10**30],  # overflows intp
+        ],
+        ids=["floats", "strings", "overflow"],
+    )
+    def test_non_integer_rows_rejected(self, rows):
+        payload = {"kind": "lin", "rows": rows, "w": [1.0, 0.0]}
+        with pytest.raises(DataShapeError):
+            constraint_from_dict(payload)
+
 
 class TestSessionRoundtrip:
     def test_save_load_restores_constraints(self, two_cluster_data, tmp_path):

@@ -102,6 +102,21 @@ class TestSelectionStore:
         with pytest.raises(DataShapeError):
             SelectionStore().save("empty", [])
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [0.5, 1.9, 2.2],  # would truncate onto rows {0, 1, 2}
+            [True, False, True],  # would become rows {0, 1}
+            ["3", "4"],  # would parse into rows {3, 4}
+        ],
+        ids=["floats", "bool-mask", "strings"],
+    )
+    def test_non_integer_selection_rejected(self, rows):
+        store = SelectionStore()
+        with pytest.raises(DataShapeError, match="integer row indices"):
+            store.save("blob", rows)
+        assert "blob" not in store
+
     def test_remove_and_contains(self):
         store = SelectionStore()
         store.save("a", [0])
