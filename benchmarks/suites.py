@@ -11,10 +11,9 @@ overhead ratios:
   workload (margin-style constraints across every class plus one block
   constraint pair per class, the paper's interactive shape).  Writes
   ``BENCH_core_solver.json``.
-* ``projection`` — batched/multi-restart FastICA and the block-diagonal
-  scatter GEMM vs :mod:`repro.projection.reference` and
-  :func:`repro.core.grouping.apply_by_class_loop`, on a non-gaussian
-  cluster mixture.  Writes ``BENCH_projection.json``.
+* ``projection`` — batched/multi-restart FastICA vs
+  :mod:`repro.projection.reference`, on a non-gaussian cluster mixture.
+  Writes ``BENCH_projection.json``.
 * ``store`` — the durable tier: WAL append per backend x fsync policy,
   crash recovery, compaction, and the loadgen p99 view-latency overhead
   of serving with a durable store.  Writes ``BENCH_store.json``.
@@ -56,7 +55,6 @@ import numpy as np
 from repro import perf
 from repro.core.constraint import Constraint, ConstraintKind
 from repro.core.equivalence import build_equivalence_classes
-from repro.core.grouping import apply_by_class, apply_by_class_loop
 from repro.core.parameters import ClassParameters
 from repro.core.reference import (
     reference_build_equivalence_classes,
@@ -81,10 +79,8 @@ SIZES = {
 #: Projection-suite workload sizes.  ``iterations`` caps the fixed-point
 #: loop so timings measure throughput, not data-dependent convergence.
 PROJECTION_SIZES = {
-    "quick": {"n": 1024, "d": 8, "restarts": 8, "iterations": 60,
-              "scatter_classes": 96, "repeats": 3},
-    "full": {"n": 2048, "d": 12, "restarts": 16, "iterations": 100,
-             "scatter_classes": 256, "repeats": 5},
+    "quick": {"n": 1024, "d": 8, "restarts": 8, "iterations": 60, "repeats": 3},
+    "full": {"n": 2048, "d": 12, "restarts": 16, "iterations": 100, "repeats": 5},
 }
 
 
@@ -277,29 +273,6 @@ def cluster_mixture_workload(n: int, d: int, seed: int = 0) -> np.ndarray:
     return data
 
 
-def balanced_partition(n: int, c_count: int, seed: int = 0):
-    """A synthetic near-balanced row partition with ``c_count`` classes.
-
-    Random class assignment (covering every class) — the regime the
-    block-diagonal scatter GEMM targets; returns an
-    :class:`~repro.core.equivalence.EquivalenceClasses`.
-    """
-    from repro.core.equivalence import EquivalenceClasses
-
-    rng = np.random.default_rng(seed)
-    class_of_row = np.concatenate(
-        [np.arange(c_count), rng.integers(0, c_count, max(n - c_count, 0))]
-    )[:n]
-    rng.shuffle(class_of_row)
-    return EquivalenceClasses(
-        n_rows=n,
-        class_of_row=class_of_row,
-        class_counts=np.bincount(class_of_row, minlength=c_count),
-        members=(),
-        representative_rows=np.zeros(c_count, dtype=np.intp),
-    )
-
-
 def _counted_iterations(run) -> int:
     """Fixed-point iterations one untimed ``fit_fastica`` call performs.
 
@@ -325,7 +298,7 @@ def _counted_iterations(run) -> int:
 def run_projection_suite(quick: bool = True, seed: int = 0) -> dict:
     """Time the batched projection kernels against the preserved loops.
 
-    Three match-ups, each on identical inputs.  Tolerance 0 turns the
+    Two match-ups, each on identical inputs.  Tolerance 0 turns the
     alignment test off, so the FastICA runs stop on the plateau test or
     the iteration cap, which both sides apply identically; the payload's
     ``iterations`` block records the fixed-point iterations each side
@@ -336,9 +309,7 @@ def run_projection_suite(quick: bool = True, seed: int = 0) -> dict:
     * ``fastica_restarts`` — R initialisations as one stacked tensor
       iteration vs R serial ``reference_fit_fastica`` calls (the old
       restart pattern), the serial calls drawing their starts from one
-      generator in turn, exactly the stack the batched run draws;
-    * ``scatter`` — the block-diagonal GEMM vs the per-class matmul loop
-      on a near-balanced C-class partition.
+      generator in turn, exactly the stack the batched run draws.
 
     Returns the ``BENCH_projection.json`` payload.
     """
@@ -393,22 +364,11 @@ def run_projection_suite(quick: bool = True, seed: int = 0) -> dict:
         "fastica_restarts_reference": reference_restarts(),
     }
 
-    classes = balanced_partition(n, size["scatter_classes"], seed=seed)
-    rng = np.random.default_rng(seed + 2)
-    matrices = rng.standard_normal((classes.n_classes, d, d))
-    values = rng.standard_normal((n, d))
-
     timings = {
         "fastica_vectorized_s": _best_of(repeats, batched_single),
         "fastica_reference_s": _best_of(repeats, reference_single),
         "fastica_restarts_vectorized_s": _best_of(repeats, batched_restarts),
         "fastica_restarts_reference_s": _best_of(repeats, reference_restarts),
-        "scatter_vectorized_s": _best_of(
-            repeats, lambda: apply_by_class(values, classes, matrices)
-        ),
-        "scatter_reference_s": _best_of(
-            repeats, lambda: apply_by_class_loop(values, classes, matrices)
-        ),
     }
     timings = {k: round(v, 6) for k, v in timings.items()}
 
@@ -424,7 +384,6 @@ def run_projection_suite(quick: bool = True, seed: int = 0) -> dict:
             "d": d,
             "restarts": restarts,
             "iterations": iterations,
-            "scatter_classes": int(classes.n_classes),
             "repeats": repeats,
             "seed": seed,
         },
@@ -433,7 +392,6 @@ def run_projection_suite(quick: bool = True, seed: int = 0) -> dict:
         "speedups": {
             "fastica": speedup("fastica"),
             "fastica_restarts": speedup("fastica_restarts"),
-            "scatter": speedup("scatter"),
         },
     }
 

@@ -1075,7 +1075,7 @@ def cmd_store(
 
     from repro.service.store import SessionNotFoundError, StoreError
     from repro.store import (
-        FeedbackLogStore,
+        SQLiteStore,
         compact_offline,
         store_from_url,
         verify_store,
@@ -1086,7 +1086,7 @@ def cmd_store(
     except StoreError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if not isinstance(store, FeedbackLogStore):
+    if not isinstance(store, SQLiteStore):
         print(
             f"{url} has no feedback log (not a durable store); expected "
             "sqlite:PATH",

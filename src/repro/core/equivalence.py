@@ -60,31 +60,12 @@ class EquivalenceClasses:
         ``order`` sorts rows by class (stably); rows of class c occupy
         ``order[offsets[c]:offsets[c + 1]]``.  Computed once per partition
         (the partition is immutable) and reused by every grouped per-class
-        kernel application — whitening and sampling call these on every
+        kernel application — whitening and sampling call it on every
         view request.
         """
         order = np.argsort(self.class_of_row, kind="stable")
         offsets = np.concatenate(([0], np.cumsum(self.class_counts)))
         return order, offsets
-
-    @cached_property
-    def padded_scatter_plan(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """``(sorted_class, position, largest)`` for block-diagonal GEMMs.
-
-        For the class-sorted row layout of :attr:`scatter_plan`:
-        ``sorted_class[j]`` is the class of sorted row j, ``position[j]``
-        its offset inside that class block, and ``largest`` the biggest
-        class size — everything a padded ``(C, B, d)`` scatter needs.
-        Cached like ``scatter_plan``: pure functions of the immutable
-        partition, rebuilt per call they would cost O(n) index work on
-        every whitening/sampling view request.
-        """
-        _, offsets = self.scatter_plan
-        counts = np.diff(offsets)
-        sorted_class = np.repeat(np.arange(self.n_classes), counts)
-        position = np.arange(self.n_rows) - offsets[sorted_class]
-        largest = int(counts.max()) if counts.size else 0
-        return sorted_class, position, largest
 
 
 def build_equivalence_classes(

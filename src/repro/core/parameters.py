@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import DataShapeError
-from repro.linalg import woodbury_rank1_inverse_batched
+from repro.linalg import symmetric_eig_batched, woodbury_rank1_inverse_batched
 
 
 @dataclass
@@ -147,14 +147,15 @@ class ClassParameters:
     def cached_kernel(self, name: str, compute: Callable[[], np.ndarray]):
         """Per-parameter-state memo for derived kernels (whitening roots).
 
-        Whitening transforms and sampling roots are pure functions of the
-        sigma stack; views and ghost-point requests recompute them many
-        times between fits.  The result of ``compute()`` is cached under
-        ``name`` together with a snapshot of :attr:`versions` and reused
-        until any class's counter moves (i.e. until the next constraint
-        update).  Mutating the arrays directly without
-        :meth:`bump_versions` bypasses the invalidation — the documented
-        contract of all version-keyed caching here.
+        The eigendecomposition (:meth:`sigma_eig`), whitening transforms
+        and sampling roots are pure functions of the sigma stack; views
+        and ghost-point requests recompute them many times between fits.
+        The result of ``compute()`` is cached under ``name`` together
+        with a snapshot of :attr:`versions` and reused until any class's
+        counter moves (i.e. until the next constraint update).  Mutating
+        the arrays directly without :meth:`bump_versions` bypasses the
+        invalidation — the documented contract of all version-keyed
+        caching here.
         """
         entry = self._kernel_cache.get(name)
         if entry is not None and np.array_equal(entry[0], self.versions):
@@ -162,6 +163,19 @@ class ClassParameters:
         value = compute()
         self._kernel_cache[name] = (self.versions.copy(), value)
         return value
+
+    def sigma_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Memoised :func:`~repro.linalg.symmetric_eig_batched` of ``sigma``.
+
+        The one eigendecomposition of a parameter state: the whitening
+        transforms, the sampling roots and the log-determinants behind
+        :mod:`repro.eval.information` all read it, so each fitted state
+        is decomposed once.  Returns ``(values, vectors)`` of shapes
+        ``(C, d)`` and ``(C, d, d)``; treat both as read-only.
+        """
+        return self.cached_kernel(
+            "symmetric_eig", lambda: symmetric_eig_batched(self.sigma)
+        )
 
     def copy(self) -> "ClassParameters":
         """Deep copy (used by tests and by solver snapshots)."""

@@ -15,7 +15,7 @@ from repro import perf
 from repro.core.equivalence import EquivalenceClasses
 from repro.core.grouping import apply_by_class
 from repro.core.parameters import ClassParameters
-from repro.linalg import sqrt_psd_batched, symmetric_eig_batched
+from repro.linalg import sqrt_psd_batched
 
 
 def sample_background(
@@ -52,12 +52,10 @@ def sample_background(
         noise = rng.standard_normal((n, d))
         # Version-keyed memo: repeated ghost-point draws between fits pay
         # for the per-class PSD roots once, and the eigendecomposition is
-        # shared with the whitening transforms of the same state.
-        eig = params.cached_kernel(
-            "symmetric_eig", lambda: symmetric_eig_batched(params.sigma)
-        )
+        # the parameter state's one, shared with whitening.
         roots = params.cached_kernel(
-            "sqrt_psd", lambda: sqrt_psd_batched(params.sigma, eig=eig)
+            "sqrt_psd",
+            lambda: sqrt_psd_batched(params.sigma, eig=params.sigma_eig()),
         )
         scaled = apply_by_class(noise, classes, roots)
         return params.mean[classes.class_of_row] + scaled

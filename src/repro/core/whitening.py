@@ -24,7 +24,7 @@ from repro.core.equivalence import EquivalenceClasses
 from repro.core.grouping import apply_by_class
 from repro.core.parameters import ClassParameters
 from repro.errors import DataShapeError
-from repro.linalg import inverse_sqrt_psd_batched, symmetric_eig_batched
+from repro.linalg import inverse_sqrt_psd_batched
 
 
 def whiten(
@@ -71,20 +71,18 @@ def whitening_transforms(params: ClassParameters) -> np.ndarray:
 
     Computed once per class (not per row) — another consequence of the
     equivalence-class sharing that keeps the pipeline independent of n —
-    and for all classes at once through one batched ``eigh`` over the
-    stacked sigma tensor.  The stack is memoised on the parameter object
-    (version-counter keyed), so repeated whitening between fits — every
-    view request — skips the decompositions entirely.  Near-singular
-    covariances are regularised by eigenvalue clamping, which maps pinned
-    directions to large-but-finite scalings.
+    and for all classes at once from the parameter state's one batched
+    eigendecomposition (:meth:`ClassParameters.sigma_eig`, shared with
+    sampling and the log-determinants).  The stack is memoised on the
+    parameter object (version-counter keyed), so repeated whitening
+    between fits — every view request — skips the decompositions
+    entirely.  Near-singular covariances are regularised by eigenvalue
+    clamping, which maps pinned directions to large-but-finite scalings.
     """
     with perf.timer("whitening_transforms"):
-        # The eigendecomposition memo is shared with sampling's PSD roots:
-        # one batched eigh per parameter state serves both kernels.
-        eig = params.cached_kernel(
-            "symmetric_eig", lambda: symmetric_eig_batched(params.sigma)
-        )
         return params.cached_kernel(
             "inverse_sqrt_psd",
-            lambda: inverse_sqrt_psd_batched(params.sigma, eig=eig),
+            lambda: inverse_sqrt_psd_batched(
+                params.sigma, eig=params.sigma_eig()
+            ),
         )

@@ -23,7 +23,6 @@ import numpy as np
 from repro.core.equivalence import EquivalenceClasses
 from repro.core.parameters import ClassParameters
 from repro.errors import DataShapeError
-from repro.linalg import symmetric_eig
 
 #: Eigenvalue floor for log-determinants of (near-)singular covariances.
 #: Pinned directions otherwise send the KL to +inf; the floor makes the
@@ -33,12 +32,13 @@ _LOGDET_FLOOR = 1e-12
 
 
 def _class_logdets(params: ClassParameters) -> np.ndarray:
-    """log det Sigma_c per class, with eigenvalue flooring."""
-    out = np.empty(params.n_classes)
-    for c in range(params.n_classes):
-        vals, _ = symmetric_eig(params.sigma[c])
-        out[c] = float(np.sum(np.log(np.maximum(vals, _LOGDET_FLOOR))))
-    return out
+    """log det Sigma_c per class, with eigenvalue flooring.
+
+    Read off the parameter state's memoised eigendecomposition, the one
+    whitening and sampling use.
+    """
+    vals, _ = params.sigma_eig()
+    return np.sum(np.log(np.maximum(vals, _LOGDET_FLOOR)), axis=1)
 
 
 def background_kl_from_prior(

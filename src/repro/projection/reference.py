@@ -18,10 +18,7 @@ alignment test, and the plateau test of :mod:`repro.projection.fastica`
 ``plateau=False`` runs the alignment test alone, the rule production used
 before the plateau test, so its views stay reproducible for comparison.
 
-Nothing here is called by the production pipeline.  The block-diagonal
-scatter GEMM's loop opponent lives in
-:func:`repro.core.grouping.apply_by_class_loop` (it doubles as the
-production fallback for ragged partitions).
+Nothing here is called by the production pipeline.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ on store — every array copied and marked read-only, so a session that
 tried to write through it gets a loud ``ValueError`` instead of silently
 corrupting other sessions' views — and every fetch hands out a fresh
 ``EquivalenceClasses`` instance over those read-only arrays, so the
-per-instance ``scatter_plan``/``padded_scatter_plan`` memos are never
-shared between sessions either.
+per-instance ``scatter_plan`` memo is never shared between sessions
+either.
 """
 
 from __future__ import annotations
@@ -115,9 +115,9 @@ def classes_view(frozen: EquivalenceClasses) -> EquivalenceClasses:
     """Fresh ``EquivalenceClasses`` instance over frozen (read-only) arrays.
 
     Sharing the arrays is safe — they are immutable — but the
-    ``scatter_plan`` / ``padded_scatter_plan`` ``cached_property`` memos
-    live on the *instance*, so handing every fetch its own instance keeps
-    those derived arrays private to one session.
+    ``scatter_plan`` ``cached_property`` memo lives on the *instance*, so
+    handing every fetch its own instance keeps that derived plan private
+    to one session.
     """
     return EquivalenceClasses(
         n_rows=frozen.n_rows,

@@ -74,7 +74,7 @@ from repro.store.recovery import (
     replay_records,
     validate_recovery_policy,
 )
-from repro.store.wal import FeedbackLogStore
+from repro.store.sqlite import SQLiteStore
 
 #: Idempotency keys remembered per session (LRU).  A retry storm only
 #: ever replays recent keys, so a small window is plenty; the bound
@@ -190,7 +190,7 @@ class SessionManager:
 
     Durable stores
     --------------
-    When ``store`` is also a :class:`~repro.store.wal.FeedbackLogStore`
+    When ``store`` is a :class:`~repro.store.sqlite.SQLiteStore`
     (``sqlite:``), every feedback batch and undo is appended
     to the write-ahead log *before* the in-memory apply commits, a
     genesis checkpoint is written at :meth:`create`, and resume replays
@@ -230,7 +230,7 @@ class SessionManager:
             self.cache = cache  # type: ignore[assignment]
         self.max_sessions = int(max_sessions)
         self.ttl_seconds = ttl_seconds
-        self.durable = isinstance(store, FeedbackLogStore)
+        self.durable = isinstance(store, SQLiteStore)
         self.recovery_policy = validate_recovery_policy(recovery_policy)
         self.compaction = (
             compaction if compaction is not None else CompactionPolicy()

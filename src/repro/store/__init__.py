@@ -2,7 +2,7 @@
 
 :mod:`repro.service.store` defines the session-store interface and the
 in-process :class:`MemoryStore`; this package adds the *durable* tier on
-top: the write-ahead log's records and interface
+top: the write-ahead log's records and fsync policies
 (:mod:`repro.store.wal`), the SQLite backend holding checkpoints and log
 together in one database (:mod:`repro.store.sqlite`), crash recovery by
 checkpoint + replay (:mod:`repro.store.recovery`), and log compaction
@@ -35,7 +35,6 @@ from repro.store.recovery import (
 from repro.store.sqlite import SQLiteStore
 from repro.store.wal import (
     FSYNC_POLICIES,
-    FeedbackLogStore,
     WalRecord,
     record_checksum,
     validate_fsync_policy,
@@ -45,7 +44,6 @@ __all__ = [
     "FSYNC_POLICIES",
     "RECOVERY_POLICIES",
     "CompactionPolicy",
-    "FeedbackLogStore",
     "RecoveredState",
     "SQLiteStore",
     "WalRecord",

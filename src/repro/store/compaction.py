@@ -5,7 +5,7 @@ every record in the tail is one ``apply_many`` replay.  Compaction
 restores O(1) recovery by writing a checkpoint that *includes* the tail
 (the live in-memory session already has it applied) and pruning the
 folded records, atomically where the backend allows
-(:meth:`~repro.store.wal.FeedbackLogStore.checkpoint_and_prune`).
+(:meth:`~repro.store.sqlite.SQLiteStore.checkpoint_and_prune`).
 
 The policy here is deliberately simple — compact when the tail exceeds
 ``max_tail_records`` — because the cost model is simple: replay cost is
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.service.store import SessionStore, StoreError
 from repro.store.recovery import recover_session
-from repro.store.wal import FeedbackLogStore
+from repro.store.sqlite import SQLiteStore
 
 __all__ = ["CompactionPolicy", "compact_offline", "should_compact"]
 
@@ -60,7 +60,7 @@ def compact_offline(
     """
     from repro.io import session_to_payload
 
-    if not isinstance(store, FeedbackLogStore):
+    if not isinstance(store, SQLiteStore):
         raise StoreError(
             "store has no feedback log to compact; only the durable "
             "sqlite: store supports compaction"

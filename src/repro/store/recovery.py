@@ -32,7 +32,8 @@ import numpy as np
 from repro.feedback import feedback_from_dict
 from repro.io import session_from_payload
 from repro.service.store import SessionStore, StoreError
-from repro.store.wal import FeedbackLogStore, WalRecord, resolve_aborts
+from repro.store.sqlite import SQLiteStore
+from repro.store.wal import WalRecord, resolve_aborts
 
 __all__ = [
     "RECOVERY_POLICIES",
@@ -81,7 +82,7 @@ class RecoveredState:
 
 
 def _validated_tail(
-    store: FeedbackLogStore,
+    store: SQLiteStore,
     session_id: str,
     after_seq: int,
     policy: str,
@@ -144,7 +145,7 @@ def load_session_state(
     validate_recovery_policy(policy)
     payload = store.get(session_id)
     checkpoint_seq = int(payload.get("wal_seq", 0))
-    if not isinstance(store, FeedbackLogStore):
+    if not isinstance(store, SQLiteStore):
         return RecoveredState(
             session_id=session_id, payload=payload, wal_seq=checkpoint_seq
         )

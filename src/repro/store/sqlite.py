@@ -35,7 +35,7 @@ from repro.service.store import (
     StoreError,
     validate_session_id,
 )
-from repro.store.wal import FeedbackLogStore, WalRecord, validate_fsync_policy
+from repro.store.wal import WalRecord, validate_fsync_policy
 
 __all__ = ["SCHEMA_VERSION", "SQLiteStore"]
 
@@ -77,8 +77,14 @@ _MIGRATIONS: dict[int, callable] = {}
 _SYNCHRONOUS = {"always": "FULL", "batch": "NORMAL", "off": "OFF"}
 
 
-class SQLiteStore(SessionStore, FeedbackLogStore):
+class SQLiteStore(SessionStore):
     """Durable session store backed by one SQLite database file.
+
+    Both a :class:`~repro.service.store.SessionStore` (checkpoints) and
+    the feedback log since each session's last checkpoint;
+    :mod:`repro.store.recovery` composes the two back into a live
+    session.  It is the one durable store: callers test
+    ``isinstance(store, SQLiteStore)`` for the log.
 
     Parameters
     ----------
@@ -279,7 +285,7 @@ class SQLiteStore(SessionStore, FeedbackLogStore):
         return row is not None
 
     # ------------------------------------------------------------------
-    # FeedbackLogStore: the write-ahead log
+    # The write-ahead log
     # ------------------------------------------------------------------
 
     def append_feedback(
@@ -290,6 +296,13 @@ class SQLiteStore(SessionStore, FeedbackLogStore):
         ref: int | None = None,
         key: str | None = None,
     ) -> WalRecord:
+        """Durably append one batch; returns the record with its seq.
+
+        Sequence numbers are per-session, monotonic, and contiguous; the
+        append is durable (per the fsync policy) before this returns —
+        the caller commits the in-memory apply only afterwards.  ``key``
+        is the batch's idempotency key, logged for dedup replay.
+        """
         validate_session_id(session_id)
         items = list(items)
         # The idempotency key rides inside the items JSON column, so the
@@ -344,7 +357,12 @@ class SQLiteStore(SessionStore, FeedbackLogStore):
         return record
 
     def rollback_feedback(self, session_id: str, seq: int) -> None:
-        """Remove the annulled record outright (transactional backend)."""
+        """Annul the record ``seq`` (the in-memory apply failed).
+
+        Only ever called for the newest record of a session, immediately
+        after its append; the record is removed outright.  Recovery also
+        honours ``abort`` markers, which annul a record the same way.
+        """
         self._execute(
             "DELETE FROM wal WHERE session_id = ? AND seq = ?",
             (session_id, int(seq)),
@@ -353,6 +371,14 @@ class SQLiteStore(SessionStore, FeedbackLogStore):
     def feedback_tail(
         self, session_id: str, after_seq: int = 0
     ) -> tuple[list[WalRecord], str | None]:
+        """Records with ``seq > after_seq`` in order, plus damage info.
+
+        The second element is ``None`` for a clean read, or a description
+        of storage-level tail damage (an unreadable row) — in which case
+        the returned records are the valid prefix and
+        :mod:`repro.store.recovery`'s corrupt-tail policy decides whether
+        that prefix is acceptable.
+        """
         validate_session_id(session_id)
         rows = self._execute(
             "SELECT seq, kind, items, ref, checksum FROM wal "
@@ -383,6 +409,7 @@ class SQLiteStore(SessionStore, FeedbackLogStore):
         return records, None
 
     def last_seq(self, session_id: str) -> int:
+        """Highest sequence number logged for the session (0 = none)."""
         row = self._execute(
             "SELECT MAX("
             " COALESCE((SELECT MAX(seq) FROM wal WHERE session_id = ?1), 0),"
@@ -395,7 +422,12 @@ class SQLiteStore(SessionStore, FeedbackLogStore):
     def checkpoint_and_prune(
         self, session_id: str, payload: dict, up_to_seq: int
     ) -> int:
-        """Fold the log into a fresh checkpoint in ONE transaction."""
+        """Write a checkpoint and drop the log it folds, atomically.
+
+        One transaction: a crash leaves either the old checkpoint with
+        its whole tail or the new checkpoint with the folded records
+        gone.  Returns how many records were dropped.
+        """
         validate_session_id(session_id)
         encoded = self._encode(payload)
         conn = self._conn()

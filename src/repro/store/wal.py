@@ -1,4 +1,4 @@
-"""Write-ahead log of typed feedback batches: records and the log interface.
+"""Write-ahead log of typed feedback batches: records and fsync policies.
 
 The durable tier's core idea: every mutation of a session's knowledge
 state (one :meth:`~repro.core.session.ExplorationSession.apply_many`
@@ -12,13 +12,12 @@ This module defines the backend-independent pieces:
 * :class:`WalRecord` — one logged batch: session id, per-session
   monotonic sequence number, kind (``feedback`` / ``undo`` / ``abort``),
   the serialized feedback items, and a content checksum;
-* :class:`FeedbackLogStore` — the capability interface a
-  :class:`~repro.service.store.SessionStore` grows to become a durable
-  store (append / tail / rollback / transactional
-  checkpoint-and-prune), implemented by
-  :class:`~repro.store.sqlite.SQLiteStore`;
 * the fsync policies (``always`` / ``batch`` / ``off``) a durable
   backend maps onto its own flushing.
+
+The log itself (append / tail / rollback / transactional
+checkpoint-and-prune) is :class:`~repro.store.sqlite.SQLiteStore`, the
+one durable store.
 
 Record kinds
 ------------
@@ -33,14 +32,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 from repro.service.store import StoreError
 
 __all__ = [
     "FSYNC_POLICIES",
-    "FeedbackLogStore",
     "WalRecord",
     "record_checksum",
     "validate_fsync_policy",
@@ -142,68 +139,3 @@ def resolve_aborts(records: list[WalRecord]) -> list[WalRecord]:
     """
     aborted = {r.ref for r in records if r.kind == "abort" and r.ref is not None}
     return [r for r in records if r.kind != "abort" and r.seq not in aborted]
-
-
-class FeedbackLogStore(ABC):
-    """Capability interface of a durable (write-ahead-logged) store.
-
-    A concrete durable store is both a
-    :class:`~repro.service.store.SessionStore` (checkpoints) and a
-    ``FeedbackLogStore`` (the feedback tail since the last checkpoint);
-    :mod:`repro.store.recovery` composes the two back into a live
-    session.
-    """
-
-    @abstractmethod
-    def append_feedback(
-        self,
-        session_id: str,
-        items: list[dict],
-        kind: str = "feedback",
-        ref: int | None = None,
-        key: str | None = None,
-    ) -> WalRecord:
-        """Durably append one batch; returns the record with its seq.
-
-        Sequence numbers are per-session, monotonic, and contiguous; the
-        append must be durable (per the store's fsync policy) before this
-        returns — the caller commits the in-memory apply only afterwards.
-        ``key`` is the batch's idempotency key, logged for dedup replay.
-        """
-
-    @abstractmethod
-    def rollback_feedback(self, session_id: str, seq: int) -> None:
-        """Annul the record ``seq`` (the in-memory apply failed).
-
-        Only ever called for the newest record of a session, immediately
-        after its append.  Backends either remove the record or append an
-        ``abort`` marker; recovery treats both identically.
-        """
-
-    @abstractmethod
-    def feedback_tail(
-        self, session_id: str, after_seq: int = 0
-    ) -> tuple[list[WalRecord], str | None]:
-        """Records with ``seq > after_seq`` in order, plus damage info.
-
-        The second element is ``None`` for a clean read, or a description
-        of storage-level tail damage (an unreadable row) — in which case
-        the returned records are the valid prefix and
-        :mod:`repro.store.recovery`'s corrupt-tail policy decides whether
-        that prefix is acceptable.
-        """
-
-    @abstractmethod
-    def last_seq(self, session_id: str) -> int:
-        """Highest sequence number logged for the session (0 = none)."""
-
-    @abstractmethod
-    def checkpoint_and_prune(
-        self, session_id: str, payload: dict, up_to_seq: int
-    ) -> int:
-        """Write a checkpoint and drop the log it folds, atomically.
-
-        A crash must leave either the old checkpoint with its whole tail
-        or the new checkpoint with the folded records gone; returns how
-        many records were dropped.
-        """

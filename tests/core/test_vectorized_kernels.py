@@ -309,6 +309,35 @@ class TestKernelCache:
             got, reference_whitening_transforms(params), atol=_TOL
         )
 
+    def test_one_eigendecomposition_per_state(self, monkeypatch):
+        """Whitening, sampling, knowledge and surprise share one eigh."""
+        import repro.core.parameters as parameters
+        from repro.core.background import BackgroundModel
+
+        calls = []
+        real = parameters.symmetric_eig_batched
+        monkeypatch.setattr(
+            parameters,
+            "symmetric_eig_batched",
+            lambda sigma: calls.append(1) or real(sigma),
+        )
+        rng = np.random.default_rng(0)
+        model = BackgroundModel(rng.standard_normal((60, 3)))
+        model.add_cluster_constraint(np.arange(20))
+        model.fit()
+        model.knowledge_nats()
+        model.whiten()
+        model.sample(rng=np.random.default_rng(1))
+        model.row_surprise()
+        assert len(calls) == 1
+        params, _ = model._require_fit()
+        assert params.sigma_eig() is params.sigma_eig()
+        params.apply_quadratic_update(
+            np.array([0]), np.array([1.0, 0.0, 0.0]), 0.5, 0.0
+        )
+        params.sigma_eig()
+        assert len(calls) == 2
+
     def test_copy_does_not_share_cache(self):
         params = ClassParameters.prior(1, 2)
         t1 = whitening_transforms(params)

@@ -6,12 +6,14 @@ import pytest
 from repro.core.background import BackgroundModel
 from repro.core.equivalence import build_equivalence_classes
 from repro.core.parameters import ClassParameters
+from repro.datasets import DATASETS
 from repro.errors import DataShapeError
 from repro.eval.information import (
     background_kl_from_prior,
     knowledge_gain,
     row_negative_log_density,
 )
+from repro.linalg import symmetric_eig
 
 
 class TestBackgroundKl:
@@ -109,6 +111,50 @@ class TestRowSurprise:
         params = ClassParameters.prior(1, 3)
         with pytest.raises(DataShapeError):
             row_negative_log_density(rng.standard_normal((10, 4)), params, classes)
+
+
+class TestScalarLogdetParity:
+    """Knowledge and surprise equal the scalar-``eigh`` formula exactly.
+
+    The log-determinants come from the parameter state's one batched
+    eigendecomposition; the formula below decomposes class by class
+    with the scalar helper, as the oracle.
+    """
+
+    @staticmethod
+    def _scalar_logdets(params):
+        out = np.empty(params.n_classes)
+        for c in range(params.n_classes):
+            vals, _ = symmetric_eig(params.sigma[c])
+            out[c] = float(np.sum(np.log(np.maximum(vals, 1e-12))))
+        return out
+
+    @pytest.mark.parametrize("standardize", [True, False], ids=["std", "raw"])
+    @pytest.mark.parametrize("name", ["x5", "cytometry"])
+    def test_knowledge_and_surprise_match_scalar_formula(self, name, standardize):
+        bundle = DATASETS[name]()
+        model = BackgroundModel(bundle.data, standardize=standardize)
+        model.add_margin_constraints()
+        for label in np.unique(bundle.labels)[:2]:
+            model.add_cluster_constraint(np.flatnonzero(bundle.labels == label))
+        model.fit()
+        params, classes = model._require_fit()
+        assert classes.n_classes >= 2
+        d = params.dim
+        logdets = self._scalar_logdets(params)
+
+        traces = np.einsum("cii->c", params.sigma)
+        mean_sq = np.einsum("ci,ci->c", params.mean, params.mean)
+        per_class = 0.5 * (traces + mean_sq - d - logdets)
+        counts = classes.class_counts.astype(np.float64)
+        assert model.knowledge_nats() == float(np.dot(counts, per_class))
+
+        whitened = model.whiten()
+        maha_sq = np.einsum("ij,ij->i", whitened, whitened)
+        surprise = 0.5 * (
+            maha_sq + logdets[classes.class_of_row] + d * np.log(2.0 * np.pi)
+        )
+        assert np.array_equal(model.row_surprise(), surprise)
 
 
 class TestKnowledgeGain:

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.equivalence import EquivalenceClasses
-from repro.core.grouping import apply_by_class, apply_by_class_loop
+from repro.core.grouping import apply_by_class
 from repro.projection.fastica import (
     _pca_whiten,
     _symmetric_decorrelation,
@@ -278,9 +278,25 @@ class TestFastICAParity:
             )
 
 
+def _partition(class_of_row, c_count):
+    """An :class:`EquivalenceClasses` over the given class labels."""
+    return EquivalenceClasses(
+        n_rows=class_of_row.size,
+        class_of_row=class_of_row,
+        class_counts=np.bincount(class_of_row, minlength=c_count),
+        members=(),
+        representative_rows=np.zeros(c_count, dtype=np.intp),
+    )
+
+
+def _per_row(values, classes, matrices):
+    """Per-row oracle: gather each row's class matrix and apply it."""
+    return np.einsum("nij,nj->ni", matrices[classes.class_of_row], values)
+
+
 @st.composite
 def partition_case(draw):
-    """Random class partition + matrices for the scatter kernels."""
+    """Random class partition + matrices for the grouped-apply kernel."""
     n = draw(st.integers(min_value=1, max_value=120))
     d = draw(st.integers(min_value=1, max_value=6))
     c_count = draw(st.integers(min_value=1, max_value=min(n, 12)))
@@ -293,72 +309,43 @@ def partition_case(draw):
         class_of_row[extras] = rng.integers(1, c_count, extras.size)
     else:
         class_of_row = rng.integers(0, c_count, n)
-    classes = EquivalenceClasses(
-        n_rows=n,
-        class_of_row=class_of_row,
-        class_counts=np.bincount(class_of_row, minlength=c_count),
-        members=(),
-        representative_rows=np.zeros(c_count, dtype=np.intp),
-    )
     values = rng.standard_normal((n, d))
     matrices = rng.standard_normal((c_count, d, d))
-    return values, classes, matrices
+    return values, _partition(class_of_row, c_count), matrices
 
 
-class TestBlockDiagonalScatter:
+class TestApplyByClass:
     @given(partition_case())
     @_FAST
-    def test_gemm_matches_loop(self, case):
+    def test_matches_per_row_oracle(self, case):
         values, classes, matrices = case
         got = apply_by_class(values, classes, matrices)
-        want = apply_by_class_loop(values, classes, matrices)
-        np.testing.assert_allclose(got, want, atol=_TOL)
+        np.testing.assert_allclose(
+            got, _per_row(values, classes, matrices), atol=_TOL
+        )
 
     def test_empty_classes_are_skipped(self):
         rng = np.random.default_rng(0)
         class_of_row = np.array([0, 0, 2, 2, 2], dtype=np.intp)  # class 1 empty
-        classes = EquivalenceClasses(
-            n_rows=5,
-            class_of_row=class_of_row,
-            class_counts=np.bincount(class_of_row, minlength=3),
-            members=(),
-            representative_rows=np.zeros(3, dtype=np.intp),
-        )
+        classes = _partition(class_of_row, 3)
         values = rng.standard_normal((5, 3))
         matrices = rng.standard_normal((3, 3, 3))
         np.testing.assert_allclose(
             apply_by_class(values, classes, matrices),
-            apply_by_class_loop(values, classes, matrices),
+            _per_row(values, classes, matrices),
             atol=_TOL,
         )
 
-    def test_ragged_partition_falls_back_to_loop(self, monkeypatch):
-        """One huge class + many singletons must route to the loop."""
-        from repro.core import grouping
-
-        calls = []
-        original = grouping.apply_by_class_loop
-
-        def counting_loop(values, classes, matrices):
-            calls.append(1)
-            return original(values, classes, matrices)
-
-        monkeypatch.setattr(grouping, "apply_by_class_loop", counting_loop)
-        rng = np.random.default_rng(1)
-        n, c_count = 400, 40
-        class_of_row = np.zeros(n, dtype=np.intp)
-        class_of_row[:c_count - 1] = np.arange(1, c_count)
-        classes = EquivalenceClasses(
-            n_rows=n,
-            class_of_row=class_of_row,
-            class_counts=np.bincount(class_of_row, minlength=c_count),
-            members=(),
-            representative_rows=np.zeros(c_count, dtype=np.intp),
-        )
-        values = rng.standard_normal((n, 3))
-        matrices = rng.standard_normal((c_count, 3, 3))
-        got = grouping.apply_by_class(values, classes, matrices)
-        assert calls, "ragged partition should dispatch to the loop"
+    @pytest.mark.parametrize(
+        "n, c_count", [(0, 1), (0, 3), (9, 1)], ids=["n0", "n0-c3", "c1"]
+    )
+    def test_no_rows_and_one_class(self, n, c_count):
+        rng = np.random.default_rng(n + c_count)
+        classes = _partition(rng.integers(0, c_count, n), c_count)
+        values = rng.standard_normal((n, 4))
+        matrices = rng.standard_normal((c_count, 4, 4))
+        got = apply_by_class(values, classes, matrices)
+        assert got.shape == (n, 4)
         np.testing.assert_allclose(
-            got, original(values, classes, matrices), atol=_TOL
+            got, _per_row(values, classes, matrices), atol=_TOL
         )

@@ -13,7 +13,7 @@ from repro.core.equivalence import build_equivalence_classes
 #: Tiny workloads so the whole CLI path runs in well under a second.
 _TINY = {"structural": 3, "d": 4, "n": 64, "sweeps": 2, "repeats": 1}
 _TINY_PROJECTION = {"n": 48, "d": 3, "restarts": 2, "iterations": 4,
-                    "scatter_classes": 6, "repeats": 1}
+                    "repeats": 1}
 _TINY_OBS = {"structural": 3, "d": 4, "n": 64, "sweeps": 2, "solves": 1,
              "repeats": 1, "merge_shards": 2, "history_samples": 3}
 
@@ -63,7 +63,7 @@ class TestSuite:
         payload = bench.run_projection_suite(quick=True, seed=0)
         assert payload["suite"] == "projection"
         assert payload["mode"] == "quick"
-        for key in ("fastica", "fastica_restarts", "scatter"):
+        for key in ("fastica", "fastica_restarts"):
             assert f"{key}_vectorized_s" in payload["timings"]
             assert f"{key}_reference_s" in payload["timings"]
             assert payload["speedups"][key] > 0

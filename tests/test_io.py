@@ -57,8 +57,12 @@ class TestConstraintRoundtrip:
             [0.5, 1.9, 2.2],  # would truncate onto rows {0, 1, 2}
             ["3", "4"],  # would parse into rows {3, 4}
             [10**30],  # overflows intp
+            [2**63],  # a uint64 array, would wrap negative
+            [True],  # would cast onto row 1
+            [1, True],  # np.asarray makes this an int64 array
         ],
-        ids=["floats", "strings", "overflow"],
+        ids=["floats", "strings", "overflow", "overflow-uint64", "bool",
+             "int-and-bool"],
     )
     def test_non_integer_rows_rejected(self, rows):
         payload = {"kind": "lin", "rows": rows, "w": [1.0, 0.0]}
