@@ -79,12 +79,7 @@ from repro.projection import (
     most_informative_view,
     registry,
 )
-from repro.service import (
-    MemoryStore,
-    ServiceClient,
-    SessionManager,
-    SolveCache,
-)
+from repro.service import ServiceClient, SessionManager, SolveCache
 
 __version__ = "1.6.0"
 
@@ -107,7 +102,6 @@ __all__ = [
     "most_informative_view",
     "SessionManager",
     "SolveCache",
-    "MemoryStore",
     "ServiceClient",
     "ReproError",
     "ConstraintError",

@@ -283,8 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         metavar="URL",
-        help="session store URL: sqlite:PATH (durable: checkpoints + "
-        "write-ahead log) or memory: (default)",
+        help="session store URL, sqlite:PATH (checkpoints + write-ahead "
+        "log in one database); without it sessions live in process "
+        "memory and end with it",
     )
     serve.add_argument(
         "--fsync",
@@ -1074,24 +1075,12 @@ def cmd_store(
     import json
 
     from repro.service.store import SessionNotFoundError, StoreError
-    from repro.store import (
-        SQLiteStore,
-        compact_offline,
-        store_from_url,
-        verify_store,
-    )
+    from repro.store import compact_offline, store_from_url, verify_store
 
     try:
         store = store_from_url(url)
     except StoreError as exc:
         print(str(exc), file=sys.stderr)
-        return 2
-    if not isinstance(store, SQLiteStore):
-        print(
-            f"{url} has no feedback log (not a durable store); expected "
-            "sqlite:PATH",
-            file=sys.stderr,
-        )
         return 2
 
     if action == "inspect":

@@ -24,30 +24,21 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.constraint import Constraint, ConstraintKind
+from repro.core.constraint import Constraint, ConstraintKind, integer_rows
 from repro.errors import ConstraintError, DataShapeError
 
 
 def _as_rows(rows: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
     """Validate and normalise a row-index selection against data size.
 
-    Only integer indices are accepted: casting would truncate floats to
-    other rows and read a boolean mask as the row set {0, 1}.
+    Only integer indices are accepted (:func:`integer_rows`).
     """
-    arr = np.asarray(rows)
-    if arr.ndim != 1 or arr.size == 0:
+    arr = integer_rows(rows)
+    if arr.size == 0:
         raise ConstraintError("row selection must be a non-empty 1-D sequence")
-    if arr.dtype == np.bool_:
-        raise ConstraintError(
-            "row selection is a boolean mask; pass np.flatnonzero(mask) instead"
-        )
-    if arr.dtype.kind not in "iu":
-        raise ConstraintError(
-            f"row selection must hold integer indices, got dtype {arr.dtype}"
-        )
     if np.any(arr < 0) or np.any(arr >= n):
         raise ConstraintError(f"row indices out of range for n={n}")
-    return np.sort(arr.astype(np.intp, copy=False))
+    return np.sort(arr)
 
 
 def _check_data(data: np.ndarray) -> np.ndarray:

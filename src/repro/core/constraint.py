@@ -118,3 +118,30 @@ class Constraint:
         """One-line description for logs and UI panels."""
         head = self.label or f"{self.kind.value} constraint"
         return f"{head}: |I|={self.n_rows}, d={self.dim}"
+
+
+def integer_rows(rows, error: type[Exception] = ConstraintError) -> np.ndarray:
+    """``rows`` as a 1-D ``intp`` array of integer row indices.
+
+    Casting would move a float, a numeric string or a boolean onto a row
+    the caller never named, and wrap an index past ``intp``; those raise
+    ``error`` instead.  The check runs in NumPy: the rows become one array
+    whose dtype must be integral, and only its 0 and 1 entries are looked
+    at one by one, because ``np.asarray([2, True])`` is an int64 array.
+    An empty selection passes; bounds are the caller's to check.
+    """
+    arr = np.asarray(rows)
+    # An integer past intp makes an object or a uint64 array.
+    if arr.ndim != 1 or (
+        arr.size
+        and (arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.intp))
+    ):
+        raise error(
+            "rows must be a 1-D sequence of integer row indices within "
+            f"intp, got {arr.dtype} of shape {arr.shape}"
+            + ("; pass np.flatnonzero(mask)" if arr.dtype == np.bool_ else "")
+        )
+    for i in np.flatnonzero((arr == 0) | (arr == 1)):
+        if isinstance(rows[i], (bool, np.bool_)):
+            raise error("rows must be integer row indices, not booleans")
+    return arr.astype(np.intp, copy=False)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.background import BackgroundModel
-from repro.core.constraint import Constraint, ConstraintKind
+from repro.core.constraint import Constraint, ConstraintKind, integer_rows
 from repro.core.session import ExplorationSession
 from repro.errors import DataShapeError
 from repro.feedback import feedback_from_dict
@@ -52,31 +52,6 @@ def constraint_to_dict(constraint: Constraint) -> dict:
     }
 
 
-def _stored_rows(rows) -> np.ndarray:
-    """A checkpoint's row indices as an ``intp`` array, integers only.
-
-    Casting would move a float, a numeric string or a boolean onto a row
-    the checkpoint never named, and wrap an index past ``intp``.  The
-    check runs in NumPy: the rows become one array whose dtype must be
-    integral, and only its 0 and 1 entries are looked at one by one,
-    because ``np.asarray([1, True])`` is an int64 array.
-    """
-    arr = np.asarray(rows)
-    # An integer past intp makes an object or a uint64 array.
-    if arr.ndim != 1 or (
-        arr.size
-        and (arr.dtype.kind not in "iu" or not np.can_cast(arr.dtype, np.intp))
-    ):
-        raise DataShapeError(
-            f"rows must be a list of integers within intp, got {arr.dtype} "
-            f"of shape {arr.shape}"
-        )
-    for i in np.flatnonzero((arr == 0) | (arr == 1)):
-        if isinstance(rows[i], (bool, np.bool_)):
-            raise DataShapeError("a boolean is not a row index")
-    return arr.astype(np.intp, copy=False)
-
-
 def constraint_from_dict(payload: dict) -> Constraint:
     """Rebuild a constraint from its JSON form.
 
@@ -85,7 +60,7 @@ def constraint_from_dict(payload: dict) -> Constraint:
     """
     try:
         kind = ConstraintKind(payload["kind"])
-        rows = _stored_rows(payload["rows"])
+        rows = integer_rows(payload["rows"], DataShapeError)
         w = np.asarray(payload["w"], dtype=np.float64)
         label = str(payload.get("label", ""))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

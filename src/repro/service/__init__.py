@@ -6,8 +6,8 @@ persistence, solve caching, and a stdlib-only JSON-over-HTTP API.
 
 Layering (each stratum usable on its own):
 
-``store``    :class:`SessionStore` interface + in-process :class:`MemoryStore`
-             (the durable backend is :mod:`repro.store`'s SQLite store)
+``store``    the store errors and the session-id rule (the store itself,
+             :class:`~repro.store.sqlite.SQLiteStore`, is in :mod:`repro.store`)
 ``cache``    :class:`SolveCache` — reuse fitted background models
 ``manager``  :class:`SessionManager` — locks, LRU eviction, TTL, resume
 ``api``      :class:`ServiceAPI` — the front door: transport-agnostic
@@ -58,10 +58,8 @@ from repro.service.server import ReproServer, serve, start_background
 from repro.service.worker import WorkerConfig, WorkerRuntime
 from repro.service.store import (
     InvalidSessionIdError,
-    MemoryStore,
     NoStoreError,
     SessionNotFoundError,
-    SessionStore,
     StoreError,
 )
 
@@ -71,7 +69,6 @@ __all__ = [
     "InProcessWorker",
     "InvalidSessionIdError",
     "L2SolveCache",
-    "MemoryStore",
     "NoStoreError",
     "ProcessWorker",
     "ReproServer",
@@ -82,7 +79,6 @@ __all__ = [
     "SessionExistsError",
     "SessionManager",
     "SessionNotFoundError",
-    "SessionStore",
     "SolveCache",
     "StoreError",
     "UnknownDatasetError",

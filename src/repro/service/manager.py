@@ -8,16 +8,16 @@ library's single-session loop it adds exactly what a server needs:
   requests for different sessions run in parallel (fits release no GIL
   magic, but I/O and independent sessions overlap);
 * **LRU eviction + TTL expiry** — bounded memory under many tenants;
-  evicted/expired sessions are checkpointed to the
-  :class:`~repro.service.store.SessionStore` first (when one is attached)
-  and transparently resumed on the next request;
+  evicted/expired sessions are checkpointed to the store first (when one
+  is attached) and transparently resumed on the next request;
 * **solve caching** — view requests route fits through a
   :class:`~repro.service.cache.SolveCache`, so identical belief states
   across sessions (same data, constraints, options) reuse one solve;
-* **durability** (optional) — with a write-ahead-logged store from
-  :mod:`repro.store` (``sqlite:``), every feedback batch is
-  durable before its apply commits and crash recovery replays the log
-  tail bit-for-bit; see the constructor's "Durable stores" notes.
+* **durability** (optional) — with the store
+  (:class:`~repro.store.sqlite.SQLiteStore`, ``sqlite:``), every
+  feedback batch is durable before its apply commits and crash recovery
+  replays the log tail bit-for-bit; see the constructor's "Store" notes.
+  Without a store, sessions live in process memory only.
 
 Everything here is transport-agnostic; the HTTP layer in
 :mod:`repro.service.api` is a thin JSON veneer over these methods.
@@ -63,7 +63,6 @@ from repro.service.cache import SolveCache
 from repro.service.store import (
     NoStoreError,
     SessionNotFoundError,
-    SessionStore,
     StoreError,
     validate_session_id,
 )
@@ -162,10 +161,12 @@ class SessionManager:
         with a ``.data`` attribute (a dataset bundle), or a zero-argument
         callable returning either.  Callables are resolved lazily, once.
     store:
-        Optional checkpoint store.  With a store, evicted and expired
-        sessions survive (they are checkpointed first and lazily resumed
-        on the next request), and explicit checkpoints enable cross-process
-        resume.  Without one, eviction discards state.
+        Optional :class:`~repro.store.sqlite.SQLiteStore`.  With it,
+        evicted and expired sessions survive (they are checkpointed first
+        and lazily resumed on the next request), every feedback batch is
+        logged, and another process can resume a session.  Without one,
+        sessions live in this process's memory only and eviction
+        discards state.
     cache:
         ``True`` (default) to create a private :class:`SolveCache`, an
         existing cache to share one across managers, or ``None``/``False``
@@ -177,24 +178,22 @@ class SessionManager:
         (checkpointing it first when a store is attached).  ``None``
         disables expiry.
     recovery_policy:
-        How resume treats a damaged feedback log on a durable store:
+        How resume treats a damaged feedback log:
         ``"truncate"`` (default) recovers the valid prefix and warns,
-        ``"fail"`` raises :class:`StoreError`.  Ignored for plain stores.
+        ``"fail"`` raises :class:`StoreError`.
     compaction:
-        When to fold a durable store's feedback log into a fresh
-        checkpoint; defaults to :class:`CompactionPolicy` (64 tail
-        records).  Pass ``CompactionPolicy(0)`` to disable automatic
-        folding.  Ignored for plain stores.
+        When to fold the store's feedback log into a fresh checkpoint;
+        defaults to :class:`CompactionPolicy` (64 tail records).  Pass
+        ``CompactionPolicy(0)`` to disable automatic folding.
     clock:
         Monotonic time source; injectable for tests.
 
-    Durable stores
-    --------------
-    When ``store`` is a :class:`~repro.store.sqlite.SQLiteStore`
-    (``sqlite:``), every feedback batch and undo is appended
-    to the write-ahead log *before* the in-memory apply commits, a
-    genesis checkpoint is written at :meth:`create`, and resume replays
-    the log tail through the normal ``apply_many`` codepath — so every
+    Store
+    -----
+    With a store, every feedback batch and undo is appended to the
+    write-ahead log *before* the in-memory apply commits, a genesis
+    checkpoint is written at :meth:`create`, and resume replays the log
+    tail through the normal ``apply_many`` codepath — so every
     acknowledged batch survives a crash bit-for-bit.
     """
 
@@ -202,7 +201,7 @@ class SessionManager:
         self,
         datasets: Mapping[str, object],
         *,
-        store: SessionStore | None = None,
+        store: SQLiteStore | None = None,
         cache: SolveCache | bool | None = True,
         max_sessions: int = 64,
         ttl_seconds: float | None = None,
@@ -230,7 +229,6 @@ class SessionManager:
             self.cache = cache  # type: ignore[assignment]
         self.max_sessions = int(max_sessions)
         self.ttl_seconds = ttl_seconds
-        self.durable = isinstance(store, SQLiteStore)
         self.recovery_policy = validate_recovery_policy(recovery_policy)
         self.compaction = (
             compaction if compaction is not None else CompactionPolicy()
@@ -322,7 +320,7 @@ class SessionManager:
                 feature_names=self.feature_names(dataset),
             )
             self._entries[sid] = entry
-            if self.durable:
+            if self.store is not None:
                 # Genesis checkpoint: recovery is always "checkpoint +
                 # tail", so a session must be checkpointable from birth —
                 # WAL records alone carry no dataset/seed information.
@@ -381,13 +379,7 @@ class SessionManager:
             self.store.delete(session_id)
         return removed
 
-    def release(
-        self,
-        session_id: str,
-        *,
-        checkpoint: bool | None = None,
-        wait_seconds: float = 2.0,
-    ) -> bool:
+    def release(self, session_id: str, *, wait_seconds: float = 2.0) -> bool:
         """Drop one session from memory so another process can own it.
 
         The ownership-handoff primitive of the sharded service: when the
@@ -397,13 +389,11 @@ class SessionManager:
         could later be evicted and checkpoint *old* state over the new
         owner's progress.
 
-        ``checkpoint=None`` (default) persists the session first only on
-        a plain (non-durable) store; on a durable store every committed
-        mutation is already in the write-ahead log, so the successor's
-        checkpoint+tail recovery reproduces the state without a fold
-        here.  Returns False — and keeps the session — when the session
-        is still pinned by in-flight requests after ``wait_seconds`` or
-        when a required checkpoint fails; the caller may retry.
+        Nothing is written here: every committed mutation is already in
+        the write-ahead log, so the successor's checkpoint+tail recovery
+        reproduces the state.  Returns False — and keeps the session —
+        when the session is still pinned by in-flight requests after
+        ``wait_seconds``; the caller may retry.
         """
         with self._lock:
             entry = self._entries.get(session_id)
@@ -411,16 +401,6 @@ class SessionManager:
             return True  # nothing in memory: already safe to re-own
         deadline = self._clock() + max(wait_seconds, 0.0)
         with entry.lock:  # serialise with any request mid-flight on it
-            do_checkpoint = (
-                checkpoint
-                if checkpoint is not None
-                else (self.store is not None and not self.durable)
-            )
-            if do_checkpoint and self.store is not None:
-                try:
-                    self._checkpoint_entry(entry)
-                except StoreError:
-                    return False  # dropping now would lose state
             while True:
                 with self._lock:
                     if self._entries.get(session_id) is not entry:
@@ -459,9 +439,8 @@ class SessionManager:
     def _resume_locked(self, session_id: str) -> _Entry:
         """Lazily rebuild a checkpointed session (global lock held).
 
-        On a durable store this is full crash recovery: checkpoint +
-        validated feedback-log tail replayed through ``apply_many``; on a
-        plain store it is exactly the checkpoint.
+        This is full crash recovery: checkpoint + validated feedback-log
+        tail replayed through ``apply_many``.
         """
         if self.store is None:
             raise SessionNotFoundError(f"no session {session_id!r}")
@@ -530,11 +509,11 @@ class SessionManager:
     # ------------------------------------------------------------------
 
     def _checkpoint_entry(self, entry: _Entry) -> None:
-        """Persist the entry's knowledge state; folds the log when durable.
+        """Persist the entry's knowledge state and fold its log.
 
         The in-memory session already contains every logged record up to
-        ``entry.wal_seq``, so the checkpoint covers them and the durable
-        path prunes them in the same (transactional, on SQLite) step.
+        ``entry.wal_seq``, so the checkpoint covers them and prunes them
+        in the same transaction.
         """
         payload = {
             "session_id": entry.session_id,
@@ -551,17 +530,14 @@ class SessionManager:
             payload["idempotency"] = {
                 key: list(labels) for key, labels in entry.idem.items()
             }
-        if self.durable:
-            pruned = self.store.checkpoint_and_prune(
-                entry.session_id, payload, entry.wal_seq
-            )
-            entry.tail_records = 0
-            if pruned:
-                self._compactions += 1
-                perf.add("store.compactions")
-                perf.add("store.compacted_records", pruned)
-        else:
-            self.store.put(entry.session_id, payload)
+        pruned = self.store.checkpoint_and_prune(
+            entry.session_id, payload, entry.wal_seq
+        )
+        entry.tail_records = 0
+        if pruned:
+            self._compactions += 1
+            perf.add("store.compactions")
+            perf.add("store.compacted_records", pruned)
         self._checkpoints += 1
 
     def _evict_locked(self) -> None:
@@ -758,8 +734,8 @@ class SessionManager:
     def _wal_append(
         self, entry: _Entry, items: list[dict], kind="feedback", key=None
     ):
-        """Durably log one batch before its in-memory apply (durable only)."""
-        if not self.durable:
+        """Durably log one batch before its in-memory apply (with a store)."""
+        if self.store is None:
             return None
         chaos.hit("store.append")
         with perf.timer("wal_append"):
@@ -778,7 +754,7 @@ class SessionManager:
         except StoreError:
             # Best effort: the store just failed an append-shaped write,
             # so this likely fails too.  Surfacing the *original* apply
-            # error matters more than the unlogged abort.
+            # error matters more than the record left in the log.
             pass
 
     def _wal_commit(self, entry: _Entry, record) -> None:
@@ -796,7 +772,7 @@ class SessionManager:
     def undo(self, session_id: str) -> str | None:
         """Retract the session's most recent feedback action.
 
-        On a durable store the undo is write-ahead logged like any other
+        With a store the undo is write-ahead logged like any other
         mutation (kind ``undo``), so recovery replays it and a recovered
         session does not resurrect retracted knowledge.
         """
@@ -865,7 +841,7 @@ class SessionManager:
             "evicted": self._evicted,
             "expired": self._expired,
             "checkpoints": self._checkpoints,
-            "durable": self.durable,
+            "durable": self.store is not None,
             "wal_appends": self._wal_appends,
             "wal_rollbacks": self._wal_rollbacks,
             "compactions": self._compactions,

@@ -1,23 +1,21 @@
-"""`repro.store`: the durable session tier — WAL, SQLite, recovery.
+"""`repro.store`: the session store — WAL, SQLite, recovery.
 
-:mod:`repro.service.store` defines the session-store interface and the
-in-process :class:`MemoryStore`; this package adds the *durable* tier on
-top: the write-ahead log's records and fsync policies
-(:mod:`repro.store.wal`), the SQLite backend holding checkpoints and log
-together in one database (:mod:`repro.store.sqlite`), crash recovery by
-checkpoint + replay (:mod:`repro.store.recovery`), and log compaction
-(:mod:`repro.store.compaction`).
+The one store is :class:`SQLiteStore` (:mod:`repro.store.sqlite`): each
+session's latest checkpoint and the write-ahead feedback log since it,
+in one database.  Around it: the log's records and fsync policies
+(:mod:`repro.store.wal`), crash recovery by checkpoint + replay
+(:mod:`repro.store.recovery`), and log compaction
+(:mod:`repro.store.compaction`).  The store errors and the session-id
+rule live in :mod:`repro.service.store`.
 
-:func:`store_from_url` maps the CLI's ``--store`` URL syntax onto
-concrete stores::
-
-    memory:              MemoryStore        (no durability; default)
-    sqlite:PATH          SQLiteStore        (one database, transactional)
+:func:`store_from_url` maps the CLI's ``--store sqlite:PATH`` URL onto
+the store.  Without ``--store`` a server keeps its sessions in process
+memory, and they end with it.
 """
 
 from __future__ import annotations
 
-from repro.service.store import MemoryStore, SessionStore, StoreError
+from repro.service.store import StoreError
 from repro.store.compaction import (
     CompactionPolicy,
     compact_offline,
@@ -60,17 +58,14 @@ __all__ = [
 ]
 
 
-def store_from_url(url: str, fsync: str = "batch") -> SessionStore:
-    """Build a session store from a ``memory:`` or ``sqlite:PATH`` URL.
+def store_from_url(url: str, fsync: str = "batch") -> SQLiteStore:
+    """Open the session store a ``sqlite:PATH`` URL names.
 
-    Anything else — a bare path, an empty path, another scheme — raises
-    :class:`StoreError` naming the two accepted forms.
+    Anything else — a bare path, an empty path, another scheme such as
+    the retired ``memory:``, ``dir:`` and ``wal:`` — raises
+    :class:`StoreError` naming the accepted form.
     """
-    if url in ("memory:", "memory"):
-        return MemoryStore()
     scheme, _, path = url.partition(":")
     if scheme == "sqlite" and path:
         return SQLiteStore(path, fsync=fsync)
-    raise StoreError(
-        f"bad store URL {url!r}; expected memory: or sqlite:PATH"
-    )
+    raise StoreError(f"bad store URL {url!r}; expected sqlite:PATH")

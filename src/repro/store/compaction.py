@@ -4,7 +4,7 @@ A write-ahead log grows without bound and recovery time grows with it —
 every record in the tail is one ``apply_many`` replay.  Compaction
 restores O(1) recovery by writing a checkpoint that *includes* the tail
 (the live in-memory session already has it applied) and pruning the
-folded records, atomically where the backend allows
+folded records in the same transaction
 (:meth:`~repro.store.sqlite.SQLiteStore.checkpoint_and_prune`).
 
 The policy here is deliberately simple — compact when the tail exceeds
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.service.store import SessionStore, StoreError
 from repro.store.recovery import recover_session
 from repro.store.sqlite import SQLiteStore
 
@@ -42,7 +41,7 @@ def should_compact(policy: CompactionPolicy, tail_records: int) -> bool:
 
 
 def compact_offline(
-    store: SessionStore,
+    store: SQLiteStore,
     session_id: str,
     data,
     *,
@@ -60,11 +59,6 @@ def compact_offline(
     """
     from repro.io import session_to_payload
 
-    if not isinstance(store, SQLiteStore):
-        raise StoreError(
-            "store has no feedback log to compact; only the durable "
-            "sqlite: store supports compaction"
-        )
     session, state = recover_session(
         store,
         session_id,

@@ -9,7 +9,7 @@ session's refits are deterministic.
 
 The sequence of steps for one session:
 
-1. read the latest checkpoint (:meth:`SessionStore.get`), which carries
+1. read the latest checkpoint (:meth:`SQLiteStore.get`), which carries
    the sequence number ``wal_seq`` it folded in;
 2. read the log tail with ``seq > wal_seq`` and validate it — sequence
    continuity (no gaps: a gap means records vanished) and per-record
@@ -31,9 +31,9 @@ import numpy as np
 
 from repro.feedback import feedback_from_dict
 from repro.io import session_from_payload
-from repro.service.store import SessionStore, StoreError
+from repro.service.store import StoreError
 from repro.store.sqlite import SQLiteStore
-from repro.store.wal import WalRecord, resolve_aborts
+from repro.store.wal import WalRecord
 
 __all__ = [
     "RECOVERY_POLICIES",
@@ -64,10 +64,10 @@ def validate_recovery_policy(policy: str) -> str:
 class RecoveredState:
     """Everything recovery learned about one session, pre-replay.
 
-    ``records`` is the replayable tail (aborts already resolved, damage
-    policy already applied); ``wal_seq`` is the highest sequence number
-    covered by checkpoint + tail, i.e. what the next append will follow;
-    ``warnings`` describes anything the ``truncate`` policy dropped.
+    ``records`` is the replayable tail (damage policy already applied);
+    ``wal_seq`` is the highest sequence number covered by checkpoint +
+    tail, i.e. what the next append will follow; ``warnings`` describes
+    anything the ``truncate`` policy dropped.
     """
 
     session_id: str
@@ -90,8 +90,6 @@ def _validated_tail(
     """Read and validate one session's log tail under ``policy``.
 
     Returns ``(replayable_records, last_seq_covered, warnings)``.
-    Continuity and checksums are checked on the *raw* tail (abort
-    markers consume sequence numbers too); aborts are resolved after.
     """
     records, damage = store.feedback_tail(session_id, after_seq=after_seq)
     warnings: list[str] = []
@@ -129,26 +127,18 @@ def _validated_tail(
         expected = record.seq + 1
 
     last_covered = records[-1].seq if records else after_seq
-    return resolve_aborts(records), last_covered, warnings
+    return records, last_covered, warnings
 
 
 def load_session_state(
-    store: SessionStore,
+    store: SQLiteStore,
     session_id: str,
     policy: str = "truncate",
 ) -> RecoveredState:
-    """Checkpoint + validated tail for one session (no replay yet).
-
-    Works for plain stores too: a store without a feedback log recovers
-    to exactly its checkpoint.
-    """
+    """Checkpoint + validated tail for one session (no replay yet)."""
     validate_recovery_policy(policy)
     payload = store.get(session_id)
     checkpoint_seq = int(payload.get("wal_seq", 0))
-    if not isinstance(store, SQLiteStore):
-        return RecoveredState(
-            session_id=session_id, payload=payload, wal_seq=checkpoint_seq
-        )
     records, last_covered, warnings = _validated_tail(
         store, session_id, after_seq=checkpoint_seq, policy=policy
     )
@@ -178,7 +168,7 @@ def replay_records(session, records: list[WalRecord]) -> int:
         elif record.kind == "undo":
             session.undo_last_feedback()
             applied += 1
-        else:  # pragma: no cover - resolve_aborts strips everything else
+        else:
             raise StoreError(
                 f"cannot replay WAL record kind {record.kind!r}"
             )
@@ -186,7 +176,7 @@ def replay_records(session, records: list[WalRecord]) -> int:
 
 
 def recover_session(
-    store: SessionStore,
+    store: SQLiteStore,
     session_id: str,
     data: np.ndarray,
     *,
@@ -212,7 +202,7 @@ def recover_session(
     return session, state
 
 
-def verify_store(store: SessionStore, policy: str = "fail") -> dict:
+def verify_store(store: SQLiteStore, policy: str = "fail") -> dict:
     """Integrity sweep over every session; the core of ``repro store verify``.
 
     Checks that each checkpoint parses and that each log tail is

@@ -12,9 +12,8 @@ processes.  Concretely:
   ``FULL`` (every commit hits the platter), ``batch`` → ``NORMAL``
   (SQLite syncs at WAL checkpoints — a process crash loses nothing, a
   power cut can lose the last unsynced commits), ``off`` → ``OFF``;
-* **schema versioning** via ``PRAGMA user_version`` with a migration
-  table stub, so a future schema change upgrades old databases in place
-  instead of refusing them;
+* **schema versioning** via ``PRAGMA user_version``: 0 (a new file)
+  gets the schema, 1 is used as is, anything else is refused;
 * **transactional compaction** — :meth:`checkpoint_and_prune` folds the
   log into a fresh checkpoint and drops the folded records in one
   transaction, so a crash mid-compaction can never lose feedback.
@@ -31,7 +30,6 @@ from pathlib import Path
 
 from repro.service.store import (
     SessionNotFoundError,
-    SessionStore,
     StoreError,
     validate_session_id,
 )
@@ -39,8 +37,7 @@ from repro.store.wal import WalRecord, validate_fsync_policy
 
 __all__ = ["SCHEMA_VERSION", "SQLiteStore"]
 
-#: Current schema version (``PRAGMA user_version``).  Bump together with
-#: an entry in :data:`_MIGRATIONS` that upgrades ``N-1 -> N`` in place.
+#: The schema version (``PRAGMA user_version``) this code reads and writes.
 SCHEMA_VERSION = 1
 
 # Statements run one by one inside the schema transaction
@@ -68,23 +65,16 @@ _SCHEMA = (
     """,
 )
 
-#: Migration stub: ``{from_version: callable(conn)}`` steps applied in
-#: order until ``user_version`` reaches :data:`SCHEMA_VERSION`.  Empty
-#: while there is only one schema version; the machinery is exercised by
-#: the tests so adding the first real migration is a one-liner.
-_MIGRATIONS: dict[int, callable] = {}
-
 _SYNCHRONOUS = {"always": "FULL", "batch": "NORMAL", "off": "OFF"}
 
 
-class SQLiteStore(SessionStore):
-    """Durable session store backed by one SQLite database file.
+class SQLiteStore:
+    """The session store: one SQLite database file.
 
-    Both a :class:`~repro.service.store.SessionStore` (checkpoints) and
-    the feedback log since each session's last checkpoint;
+    It holds each session's latest checkpoint (a JSON payload keyed by
+    session id) and the feedback log since that checkpoint;
     :mod:`repro.store.recovery` composes the two back into a live
-    session.  It is the one durable store: callers test
-    ``isinstance(store, SQLiteStore)`` for the log.
+    session.
 
     Parameters
     ----------
@@ -116,7 +106,7 @@ class SQLiteStore(SessionStore):
         self.busy_timeout_ms = int(busy_timeout_ms)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._local = threading.local()
-        # Opening one connection eagerly creates/migrates the schema, so
+        # Opening one connection eagerly creates or checks the schema, so
         # construction fails loudly on an unusable database.
         self._conn()
 
@@ -162,34 +152,24 @@ class SQLiteStore(SessionStore):
         return conn
 
     def _ensure_schema(self, conn: sqlite3.Connection) -> None:
+        """Create the schema in a new file (version 0); refuse all but 1."""
         version = conn.execute("PRAGMA user_version").fetchone()[0]
         if version == SCHEMA_VERSION:
             return
-        if version > SCHEMA_VERSION:
+        if version != 0:
             raise StoreError(
-                f"database {self.path} has schema version {version}, newer "
-                f"than this code understands ({SCHEMA_VERSION}); refusing "
-                "to touch it"
+                f"database {self.path} has schema version {version}; this "
+                f"code reads version {SCHEMA_VERSION} only (a new file has "
+                "0) and will not touch a newer or unknown one"
             )
         conn.execute("BEGIN IMMEDIATE")
         try:
             # Re-check under the write lock: another process may have
-            # created/migrated the schema while we waited.
-            version = conn.execute("PRAGMA user_version").fetchone()[0]
-            if version == 0:
+            # created the schema while we waited.
+            if conn.execute("PRAGMA user_version").fetchone()[0] == 0:
                 for statement in _SCHEMA:
                     conn.execute(statement)
-            else:
-                while version < SCHEMA_VERSION:
-                    step = _MIGRATIONS.get(version)
-                    if step is None:
-                        raise StoreError(
-                            f"no migration from schema version {version} "
-                            f"in {self.path}"
-                        )
-                    step(conn)
-                    version += 1
-            conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+                conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
             conn.execute("COMMIT")
         except BaseException:
             conn.execute("ROLLBACK")
@@ -212,19 +192,8 @@ class SQLiteStore(SessionStore):
             raise StoreError(f"store query failed on {self.path}: {exc}") from exc
 
     # ------------------------------------------------------------------
-    # SessionStore: checkpoints
+    # Checkpoints
     # ------------------------------------------------------------------
-
-    def put(self, session_id: str, payload: dict) -> None:
-        validate_session_id(session_id)
-        encoded = self._encode(payload)
-        self._execute(
-            "INSERT INTO checkpoints (session_id, payload, wal_seq, updated_at) "
-            "VALUES (?, ?, ?, ?) ON CONFLICT(session_id) DO UPDATE SET "
-            "payload = excluded.payload, wal_seq = excluded.wal_seq, "
-            "updated_at = excluded.updated_at",
-            (session_id, encoded, int(payload.get("wal_seq", 0)), time.time()),
-        )
 
     @staticmethod
     def _encode(payload: dict) -> str:
@@ -293,7 +262,6 @@ class SQLiteStore(SessionStore):
         session_id: str,
         items: list[dict],
         kind: str = "feedback",
-        ref: int | None = None,
         key: str | None = None,
     ) -> WalRecord:
         """Durably append one batch; returns the record with its seq.
@@ -329,20 +297,12 @@ class SQLiteStore(SessionStore):
                 (session_id,),
             ).fetchone()
             seq = int(row[0]) + 1
-            record = WalRecord.make(session_id, seq, kind, items, ref, key)
+            record = WalRecord.make(session_id, seq, kind, items, key=key)
             conn.execute(
                 "INSERT INTO wal "
-                "(session_id, seq, kind, items, ref, checksum, created_at) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (
-                    session_id,
-                    seq,
-                    kind,
-                    encoded,
-                    ref,
-                    record.checksum,
-                    time.time(),
-                ),
+                "(session_id, seq, kind, items, checksum, created_at) "
+                "VALUES (?, ?, ?, ?, ?, ?)",
+                (session_id, seq, kind, encoded, record.checksum, time.time()),
             )
             conn.execute("COMMIT")
         except sqlite3.Error as exc:
@@ -360,8 +320,8 @@ class SQLiteStore(SessionStore):
         """Annul the record ``seq`` (the in-memory apply failed).
 
         Only ever called for the newest record of a session, immediately
-        after its append; the record is removed outright.  Recovery also
-        honours ``abort`` markers, which annul a record the same way.
+        after its append; the record is removed outright, so the next
+        append reuses its seq and recovery never sees it.
         """
         self._execute(
             "DELETE FROM wal WHERE session_id = ? AND seq = ?",
@@ -461,38 +421,3 @@ class SQLiteStore(SessionStore):
                 f"cannot compact session {session_id!r} in {self.path}: {exc}"
             ) from exc
         return dropped
-
-    # ------------------------------------------------------------------
-    # Introspection (CLI `repro store inspect`)
-    # ------------------------------------------------------------------
-
-    def schema_version(self) -> int:
-        """The database's ``PRAGMA user_version``."""
-        return int(self._execute("PRAGMA user_version").fetchone()[0])
-
-    def describe(self) -> dict:
-        """Shape summary: sessions, tail lengths, schema version."""
-        sessions = {}
-        for sid in self.list_ids():
-            row = self._execute(
-                "SELECT wal_seq, LENGTH(payload) FROM checkpoints "
-                "WHERE session_id = ?",
-                (sid,),
-            ).fetchone()
-            tail = self._execute(
-                "SELECT COUNT(*) FROM wal WHERE session_id = ?", (sid,)
-            ).fetchone()[0]
-            sessions[sid] = {
-                "checkpointed": row is not None,
-                "checkpoint_bytes": int(row[1]) if row is not None else 0,
-                "checkpoint_wal_seq": int(row[0]) if row is not None else 0,
-                "tail_records": int(tail),
-                "last_seq": self.last_seq(sid),
-            }
-        return {
-            "backend": "sqlite",
-            "path": str(self.path),
-            "fsync": self.fsync,
-            "schema_version": self.schema_version(),
-            "sessions": sessions,
-        }

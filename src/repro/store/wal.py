@@ -7,25 +7,26 @@ commits.  Recovery is then "load the latest checkpoint and replay the
 log tail" — bit-for-bit, because all feedback is typed and serialisable
 and the session's refits are deterministic.
 
-This module defines the backend-independent pieces:
+This module defines the log's records and durability settings:
 
 * :class:`WalRecord` — one logged batch: session id, per-session
-  monotonic sequence number, kind (``feedback`` / ``undo`` / ``abort``),
-  the serialized feedback items, and a content checksum;
-* the fsync policies (``always`` / ``batch`` / ``off``) a durable
-  backend maps onto its own flushing.
+  monotonic sequence number, kind (``feedback`` / ``undo``), the
+  serialized feedback items, and a content checksum;
+* the fsync policies (``always`` / ``batch`` / ``off``), which the
+  store maps onto SQLite's ``synchronous`` setting.
 
 The log itself (append / tail / rollback / transactional
 checkpoint-and-prune) is :class:`~repro.store.sqlite.SQLiteStore`, the
-one durable store.
+one session store.
 
 Record kinds
 ------------
 ``feedback``   a batch of feedback dicts, replayed through ``apply_many``
 ``undo``       one undo action, replayed through ``undo_last_feedback``
-``abort``      annuls the record named by ``ref`` — written when the
-               in-memory apply failed *after* its write-ahead record was
-               already durable, so recovery must not replay it
+
+A batch whose in-memory apply fails after its append is deleted from the
+log (:meth:`~repro.store.sqlite.SQLiteStore.rollback_feedback`), so
+recovery never replays it.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def record_checksum(
     Canonical JSON (sorted keys, no whitespace) so the checksum is stable
     across writers and Python versions.  The idempotency ``key`` enters
     the hash only when present, so every record written before keys
-    existed still verifies.
+    existed still verifies.  ``ref`` is ``None`` in every record written
+    now; it keeps its slot so records that carry one still verify.
     """
     fields = [session_id, int(seq), kind, items, ref]
     if key is not None:
@@ -87,12 +89,13 @@ def record_checksum(
 
 @dataclass(frozen=True)
 class WalRecord:
-    """One durable log entry: a feedback batch, an undo, or an abort.
+    """One durable log entry: a feedback batch or an undo.
 
     ``key`` is the client-supplied idempotency key of a feedback batch
-    (``None`` for undo/abort and for keyless clients); it rides in
-    the log so recovery can rebuild the dedup map and refuse to replay a
-    batch the session already holds.
+    (``None`` for undo and for keyless clients); it rides in the log so
+    recovery can rebuild the dedup map and refuse to replay a batch the
+    session already holds.  ``ref`` is read back from the log's ``ref``
+    column, which no writer fills any more, for the checksum.
     """
 
     session_id: str
@@ -110,7 +113,6 @@ class WalRecord:
         seq: int,
         kind: str = "feedback",
         items: list[dict] | None = None,
-        ref: int | None = None,
         key: str | None = None,
     ) -> "WalRecord":
         items = list(items) if items else []
@@ -119,8 +121,7 @@ class WalRecord:
             seq=int(seq),
             kind=kind,
             items=items,
-            ref=ref,
-            checksum=record_checksum(session_id, seq, kind, items, ref, key),
+            checksum=record_checksum(session_id, seq, kind, items, None, key),
             key=key,
         )
 
@@ -129,13 +130,3 @@ class WalRecord:
         return self.checksum == record_checksum(
             self.session_id, self.seq, self.kind, self.items, self.ref, self.key
         )
-
-
-def resolve_aborts(records: list[WalRecord]) -> list[WalRecord]:
-    """Drop aborted records and the abort markers that annul them.
-
-    The sequence numbers of abort records still count for continuity —
-    callers verify continuity on the raw tail first, then filter.
-    """
-    aborted = {r.ref for r in records if r.kind == "abort" and r.ref is not None}
-    return [r for r in records if r.kind != "abort" and r.seq not in aborted]

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.constraint import integer_rows
 from repro.errors import DataShapeError
 
 
@@ -82,17 +83,11 @@ def select_knn_blob(projected: np.ndarray, seed_point: int, k: int) -> np.ndarra
 def selection_rows(rows: Sequence[int] | np.ndarray) -> np.ndarray:
     """A selection as sorted, unique ``intp`` row indices.
 
-    Only integer row indices are accepted: casting would truncate floats
-    onto other rows, parse numeric strings and read a boolean mask as rows
-    {0, 1}.  An empty selection passes.
+    Only integer row indices are accepted
+    (:func:`~repro.core.constraint.integer_rows`).  An empty selection
+    passes.
     """
-    arr = np.asarray(rows)
-    if arr.size and arr.dtype.kind not in "iu":
-        raise DataShapeError(
-            f"selection must hold integer row indices, got dtype {arr.dtype}"
-            + ("; pass np.flatnonzero(mask)" if arr.dtype == np.bool_ else "")
-        )
-    return np.unique(arr.astype(np.intp))
+    return np.unique(integer_rows(rows, DataShapeError))
 
 
 class SelectionStore:

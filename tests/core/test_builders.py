@@ -148,7 +148,13 @@ class TestClusterConstraint:
 
     @pytest.mark.parametrize(
         "rows",
-        [[0.5, 1.9, 2.2], np.array([0.0, 1.0]), ["3", "4"], [1, 2.5]],
+        [
+            [0.5, 1.9, 2.2],
+            np.array([0.0, 1.0]),
+            ["3", "4"],
+            [1, 2.5],
+            [2, True, 5],  # an int64 array: would constrain rows {1, 2, 5}
+        ],
     )
     def test_non_integer_rows_rejected(self, gaussian_data, rows):
         with pytest.raises(ConstraintError, match="integer"):

@@ -27,7 +27,7 @@ from repro.service.api import ServiceAPI
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.manager import SessionManager
 from repro.service.server import start_background
-from repro.service.store import MemoryStore
+from repro.store import SQLiteStore
 
 _REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -41,8 +41,14 @@ def _wait_for(predicate, timeout=5.0, message="condition"):
 
 
 class TestAdminDrainRoute:
+    @pytest.fixture(autouse=True)
+    def _store(self, tmp_path):
+        self.store = SQLiteStore(tmp_path / "sessions.db", fsync="off")
+        yield
+        self.store.close()
+
     def _api(self, data):
-        manager = SessionManager({"wl": data}, store=MemoryStore())
+        manager = SessionManager({"wl": data}, store=self.store)
         manager.create("wl", session_id="s1", seed=0)
         return ServiceAPI(manager)
 

@@ -346,13 +346,14 @@ class TestChaos:
 
 
 class TestRunDrain:
-    def test_drain_checkpoints_and_reports(self, two_cluster_data):
+    def test_drain_checkpoints_and_reports(self, two_cluster_data, tmp_path):
         from repro.service.manager import SessionManager
-        from repro.service.store import MemoryStore
+        from repro.store import SQLiteStore
 
         data, _ = two_cluster_data
         manager = SessionManager(
-            {"wl": data}, store=MemoryStore()
+            {"wl": data},
+            store=SQLiteStore(tmp_path / "sessions.db", fsync="off"),
         )
         manager.create("wl", session_id="drain-a", seed=0)
         ctrl = AdmissionController()

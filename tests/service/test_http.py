@@ -7,14 +7,15 @@ from repro.service.api import ServiceAPI
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.manager import SessionManager
 from repro.service.server import start_background
-from repro.service.store import MemoryStore
 from repro.store import SQLiteStore
 
 
 @pytest.fixture
-def api(two_cluster_data):
+def api(two_cluster_data, tmp_path):
     data, _ = two_cluster_data
-    return ServiceAPI(SessionManager({"two": data}, store=MemoryStore()))
+    store = SQLiteStore(tmp_path / "sessions.db", fsync="off")
+    yield ServiceAPI(SessionManager({"two": data}, store=store))
+    store.close()
 
 
 class TestDispatch:

@@ -12,7 +12,8 @@ from repro.service.manager import (
     SessionManager,
     UnknownDatasetError,
 )
-from repro.service.store import MemoryStore, SessionNotFoundError, StoreError
+from repro.service.store import SessionNotFoundError, StoreError
+from repro.store import SQLiteStore
 
 
 class FakeClock:
@@ -29,9 +30,16 @@ class FakeClock:
 
 
 @pytest.fixture
-def manager(two_cluster_data):
+def store(tmp_path):
+    store = SQLiteStore(tmp_path / "sessions.db", fsync="off")
+    yield store
+    store.close()
+
+
+@pytest.fixture
+def manager(two_cluster_data, store):
     data, _ = two_cluster_data
-    return SessionManager({"two": data}, store=MemoryStore())
+    return SessionManager({"two": data}, store=store)
 
 
 class TestLifecycle:
@@ -201,9 +209,8 @@ class TestWhitening:
 
 
 class TestEvictionAndExpiry:
-    def test_lru_eviction_checkpoints_and_resumes(self, two_cluster_data):
+    def test_lru_eviction_checkpoints_and_resumes(self, two_cluster_data, store):
         data, labels = two_cluster_data
-        store = MemoryStore()
         manager = SessionManager({"two": data}, store=store, max_sessions=1)
         first = manager.create("two")
         manager.apply_feedback(
@@ -232,10 +239,9 @@ class TestEvictionAndExpiry:
         with pytest.raises(SessionNotFoundError):
             manager.view(first)
 
-    def test_ttl_expiry(self, two_cluster_data):
+    def test_ttl_expiry(self, two_cluster_data, store):
         data, _ = two_cluster_data
         clock = FakeClock()
-        store = MemoryStore()
         manager = SessionManager(
             {"two": data}, store=store, ttl_seconds=60.0, clock=clock
         )
@@ -257,22 +263,28 @@ class TestEvictionAndExpiry:
         assert manager.has(sid)
 
 
-class FailingStore(MemoryStore):
-    """A store whose writes always fail (full/unwritable disk)."""
+class FailingStore(SQLiteStore):
+    """A store whose checkpoints fail once written (the disk filled up).
 
-    def put(self, session_id, payload):
-        raise StoreError("disk full")
+    The genesis checkpoint of :meth:`SessionManager.create` succeeds, so
+    the sessions exist; every later checkpoint raises.
+    """
+
+    def checkpoint_and_prune(self, session_id, payload, up_to_seq):
+        if session_id in self:
+            raise StoreError("disk full")
+        return super().checkpoint_and_prune(session_id, payload, up_to_seq)
 
 
 class TestFailingStore:
     def test_ttl_expiry_with_broken_store_keeps_sessions_alive(
-        self, two_cluster_data
+        self, two_cluster_data, tmp_path
     ):
         data, _ = two_cluster_data
         clock = FakeClock()
         manager = SessionManager(
             {"two": data},
-            store=FailingStore(),
+            store=FailingStore(tmp_path / "full.db", fsync="off"),
             ttl_seconds=60.0,
             clock=clock,
         )
@@ -287,11 +299,13 @@ class TestFailingStore:
         assert manager.stats()["expired"] == 0
 
     def test_eviction_with_broken_store_does_not_discard(
-        self, two_cluster_data
+        self, two_cluster_data, tmp_path
     ):
         data, _ = two_cluster_data
         manager = SessionManager(
-            {"two": data}, store=FailingStore(), max_sessions=1
+            {"two": data},
+            store=FailingStore(tmp_path / "full.db", fsync="off"),
+            max_sessions=1,
         )
         first = manager.create("two")
         second = manager.create("two")  # over the limit; checkpoint fails
@@ -302,9 +316,10 @@ class TestFailingStore:
 
 
 class TestCheckpointing:
-    def test_checkpoint_and_resume_in_fresh_manager(self, two_cluster_data):
+    def test_checkpoint_and_resume_in_fresh_manager(
+        self, two_cluster_data, store
+    ):
         data, labels = two_cluster_data
-        store = MemoryStore()
         m1 = SessionManager({"two": data}, store=store)
         sid = m1.create("two")
         m1.view(sid)
@@ -322,9 +337,8 @@ class TestCheckpointing:
         # Undo still works after cross-manager resume.
         assert m2.undo(sid) == "left"
 
-    def test_checkpoint_all(self, two_cluster_data):
+    def test_checkpoint_all(self, two_cluster_data, store):
         data, _ = two_cluster_data
-        store = MemoryStore()
         manager = SessionManager({"two": data}, store=store)
         ids = {manager.create("two") for _ in range(3)}
         assert manager.checkpoint_all() == 3
@@ -339,9 +353,9 @@ class TestCheckpointing:
 
 
 class TestConcurrency:
-    def test_parallel_requests_stay_consistent(self, two_cluster_data):
+    def test_parallel_requests_stay_consistent(self, two_cluster_data, store):
         data, labels = two_cluster_data
-        manager = SessionManager({"two": data}, store=MemoryStore())
+        manager = SessionManager({"two": data}, store=store)
         ids = [manager.create("two") for _ in range(4)]
         rows = np.flatnonzero(labels == 0)
         errors = []

@@ -1,4 +1,4 @@
-"""The session-store contract, run on the in-process and durable backends."""
+"""The session-store contract: checkpoints keyed by safe session ids."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.core.session import ExplorationSession
 from repro.feedback import ClusterFeedback
 from repro.io import session_from_payload, session_to_payload
 from repro.service.store import (
-    MemoryStore,
     SessionNotFoundError,
     StoreError,
     validate_session_id,
@@ -15,12 +14,9 @@ from repro.service.store import (
 from repro.store import SQLiteStore
 
 
-@pytest.fixture(params=["memory", "sqlite"])
-def store(request, tmp_path):
-    """Each test runs against both backends."""
-    if request.param == "memory":
-        yield MemoryStore()
-        return
+@pytest.fixture(params=["sqlite"])
+def store(tmp_path):
+    """The one store (the ``[sqlite]`` id names it in test ids)."""
     store = SQLiteStore(tmp_path / "sessions.db")
     yield store
     store.close()
@@ -41,7 +37,7 @@ class TestSessionIds:
 
 class TestStoreBasics:
     def test_put_get_roundtrip(self, store):
-        store.put("s1", {"dataset": "x", "n": 3})
+        store.checkpoint_and_prune("s1", {"dataset": "x", "n": 3}, 0)
         assert store.get("s1") == {"dataset": "x", "n": 3}
 
     def test_missing_id_raises(self, store):
@@ -49,31 +45,31 @@ class TestStoreBasics:
             store.get("nope")
 
     def test_contains_and_list(self, store):
-        store.put("b", {"v": 1})
-        store.put("a", {"v": 2})
+        store.checkpoint_and_prune("b", {"v": 1}, 0)
+        store.checkpoint_and_prune("a", {"v": 2}, 0)
         assert "a" in store and "zz" not in store
         assert store.list_ids() == ["a", "b"]
 
     def test_overwrite(self, store):
-        store.put("s", {"v": 1})
-        store.put("s", {"v": 2})
+        store.checkpoint_and_prune("s", {"v": 1}, 0)
+        store.checkpoint_and_prune("s", {"v": 2}, 0)
         assert store.get("s") == {"v": 2}
 
     def test_delete_is_idempotent(self, store):
-        store.put("s", {"v": 1})
+        store.checkpoint_and_prune("s", {"v": 1}, 0)
         store.delete("s")
         store.delete("s")
         assert "s" not in store
 
     def test_payload_isolated_from_caller(self, store):
         payload = {"nested": {"rows": [1, 2]}}
-        store.put("s", payload)
+        store.checkpoint_and_prune("s", payload, 0)
         payload["nested"]["rows"].append(99)
         assert store.get("s") == {"nested": {"rows": [1, 2]}}
 
     def test_non_json_payload_rejected(self, store):
         with pytest.raises(StoreError):
-            store.put("s", {"bad": np.float64})
+            store.checkpoint_and_prune("s", {"bad": np.float64}, 0)
 
 
 class TestSessionRoundtripThroughStore:
@@ -92,7 +88,7 @@ class TestSessionRoundtripThroughStore:
     ):
         data, labels = two_cluster_data
         session = self._explored_session(data, labels)
-        store.put("sess", session_to_payload(session))
+        store.checkpoint_and_prune("sess", session_to_payload(session), 0)
 
         restored = session_from_payload(data, store.get("sess"), seed=0)
         assert restored.model.n_constraints == session.model.n_constraints
@@ -106,7 +102,7 @@ class TestSessionRoundtripThroughStore:
         data, labels = two_cluster_data
         session = self._explored_session(data, labels)
         expected = session.current_view()
-        store.put("sess", session_to_payload(session))
+        store.checkpoint_and_prune("sess", session_to_payload(session), 0)
 
         restored = session_from_payload(data, store.get("sess"), seed=0)
         resumed_view = restored.current_view()

@@ -21,13 +21,15 @@ from repro.service.api import ServiceAPI
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.manager import SessionManager
 from repro.service.server import start_background
-from repro.service.store import MemoryStore
+from repro.store import SQLiteStore
 
 
 @pytest.fixture
-def api(two_cluster_data):
+def api(two_cluster_data, tmp_path):
     data, _ = two_cluster_data
-    return ServiceAPI(SessionManager({"two": data}, store=MemoryStore()))
+    store = SQLiteStore(tmp_path / "sessions.db", fsync="off")
+    yield ServiceAPI(SessionManager({"two": data}, store=store))
+    store.close()
 
 
 @pytest.fixture
@@ -400,9 +402,11 @@ class TestFeedbackKindRegistry:
 
 
 class TestCheckpointResume:
-    def test_feedback_log_survives_manager_resume(self, two_cluster_data):
+    def test_feedback_log_survives_manager_resume(
+        self, two_cluster_data, tmp_path
+    ):
         data, labels = two_cluster_data
-        store = MemoryStore()
+        store = SQLiteStore(tmp_path / "sessions.db", fsync="off")
         manager = SessionManager({"two": data}, store=store)
         api = ServiceAPI(manager)
         sid = api.dispatch("POST", "/v1/sessions", body={"dataset": "two"})[1][

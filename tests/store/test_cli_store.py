@@ -8,26 +8,28 @@ import pytest
 from repro.cli import DATASETS, build_parser, cmd_store, main
 from repro.core.session import ExplorationSession
 from repro.io import session_to_payload
-from repro.service.store import MemoryStore, StoreError
+from repro.service.store import StoreError
 from repro.store import store_from_url
 from repro.store.sqlite import SQLiteStore
 
 
 class TestStoreFromUrl:
     def test_memory(self):
-        assert isinstance(store_from_url("memory:"), MemoryStore)
-        assert isinstance(store_from_url("memory"), MemoryStore)
-        store_from_url("memory:").close()  # serve opens and closes it
+        # No memory: backend: sessions without a store already live in
+        # process memory, so the URL is refused like dir: and wal:.
+        for url in ("memory:", "memory"):
+            with pytest.raises(StoreError, match="expected sqlite:PATH"):
+                store_from_url(url)
 
     def test_dir(self, tmp_path):
-        # No dir: backend: the error names the accepted forms, and nothing
+        # No dir: backend: the error names the accepted form, and nothing
         # is created on disk.
-        with pytest.raises(StoreError, match="memory: or sqlite:PATH"):
+        with pytest.raises(StoreError, match="expected sqlite:PATH"):
             store_from_url(f"dir:{tmp_path / 'ck'}")
         assert not (tmp_path / "ck").exists()
 
     def test_wal(self, tmp_path):
-        with pytest.raises(StoreError, match="memory: or sqlite:PATH"):
+        with pytest.raises(StoreError, match="expected sqlite:PATH"):
             store_from_url(f"wal:{tmp_path / 'ck'}")
         assert not (tmp_path / "ck").exists()
 
@@ -46,7 +48,14 @@ class TestStoreFromUrl:
     @pytest.mark.parametrize("scheme", ["dir", "wal"])
     def test_serve_exits_2_on_removed_scheme(self, scheme, tmp_path, capsys):
         assert main(["serve", "--store", f"{scheme}:{tmp_path}"]) == 2
-        assert "expected memory: or sqlite:PATH" in capsys.readouterr().err
+        assert "expected sqlite:PATH" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_serve_exits_2_on_memory_url(self, workers, capsys):
+        # Refused before any worker starts, in both modes.
+        argv = ["serve", "--store", "memory:", "--workers", workers]
+        assert main(argv) == 2
+        assert "expected sqlite:PATH" in capsys.readouterr().err
 
 
 class TestParser:
@@ -86,8 +95,7 @@ def _seed_served_session(url, dataset="three-d", batches=3, sid="cli-s"):
         manager.apply_feedback(
             sid, [ClusterFeedback(rows=(i, i + 1, i + 2), label=f"b{i}")]
         )
-    if isinstance(store, SQLiteStore):
-        store.close()
+    store.close()
 
 
 class TestCmdStore:
@@ -129,12 +137,12 @@ class TestCmdStore:
 
     def test_compact_rejects_checkpoint_only_store(self, capsys):
         assert cmd_store("compact", "memory:") == 2
-        assert "no feedback log" in capsys.readouterr().err
+        assert "expected sqlite:PATH" in capsys.readouterr().err
 
     @pytest.mark.parametrize("action", ["inspect", "verify"])
     def test_inspect_and_verify_refuse_a_non_durable_url(self, action, capsys):
         assert cmd_store(action, "memory:") == 2
-        assert "no feedback log" in capsys.readouterr().err
+        assert "expected sqlite:PATH" in capsys.readouterr().err
 
     def test_main_dispatches_store(self, tmp_path, capsys):
         url = f"sqlite:{tmp_path / 's.db'}"
@@ -145,13 +153,14 @@ class TestCmdStore:
         db = tmp_path / "odd.db"
         store = SQLiteStore(db)
         session = ExplorationSession(np.eye(4), seed=0)
-        store.put(
+        store.checkpoint_and_prune(
             "odd",
             {
                 "dataset": "not-a-registered-dataset",
                 "wal_seq": 0,
                 "session": session_to_payload(session),
             },
+            0,
         )
         store.close()
         assert cmd_store("compact", f"sqlite:{db}") == 1

@@ -20,7 +20,7 @@ def make_item(i: int) -> ClusterFeedback:
 
 def seed_store(store, data, batches, seed=7):
     session = ExplorationSession(data, seed=seed)
-    store.put(
+    store.checkpoint_and_prune(
         "s",
         {
             "dataset": "small",
@@ -29,6 +29,7 @@ def seed_store(store, data, batches, seed=7):
             "wal_seq": 0,
             "session": session_to_payload(session),
         },
+        0,
     )
     for i in range(batches):
         store.append_feedback("s", [make_item(i).to_dict()])

@@ -12,7 +12,6 @@ from repro import obs
 from repro.errors import ConstraintError
 from repro.feedback import ClusterFeedback
 from repro.service.manager import SessionManager
-from repro.service.store import MemoryStore
 from repro.store.compaction import CompactionPolicy
 
 
@@ -54,10 +53,7 @@ class TestWalBeforeApply:
             manager.apply_feedback(
                 sid, [ClusterFeedback(rows=(10_000,), label="bad")]
             )
-        from repro.store.wal import resolve_aborts
-
-        records, _ = durable_store.feedback_tail(sid)
-        live = resolve_aborts(records)
+        live, _ = durable_store.feedback_tail(sid)
         assert [r.items[0]["label"] for r in live] == ["batch-0"]
         assert manager.stats()["wal_rollbacks"] == 1
 
@@ -66,18 +62,14 @@ class TestWalBeforeApply:
         manager.apply_feedback(sid, [make_item(0)])
         assert manager.undo(sid) is not None
         records, _ = durable_store.feedback_tail(sid)
-        from repro.store.wal import resolve_aborts
-
-        kinds = [r.kind for r in resolve_aborts(records)]
+        kinds = [r.kind for r in records]
         assert kinds == ["feedback", "undo"]
 
     def test_benign_undo_rolls_back_its_record(self, manager, durable_store):
         sid = manager.create("small", session_id="u0", seed=1)
         assert manager.undo(sid) is None  # nothing to undo
-        from repro.store.wal import resolve_aborts
-
         records, _ = durable_store.feedback_tail(sid)
-        assert resolve_aborts(records) == []
+        assert records == []
 
     def test_stats_expose_durability_counters(self, manager):
         sid = manager.create("small", session_id="st", seed=1)
@@ -87,9 +79,10 @@ class TestWalBeforeApply:
         assert stats["wal_appends"] == 1
         assert stats["replayed_batches"] == 0
 
-    def test_plain_store_is_not_durable(self, small_data):
-        manager = SessionManager({"small": small_data}, store=MemoryStore())
-        assert manager.stats()["durable"] is False
+    def test_no_store_is_not_durable(self, small_data):
+        manager = SessionManager({"small": small_data})
+        stats = manager.stats()
+        assert (stats["durable"], stats["store"]) == (False, None)
 
 
 class TestResume:

@@ -6,7 +6,7 @@ import pytest
 from repro.core.session import ExplorationSession
 from repro.feedback import feedback_from_dict
 from repro.io import session_to_payload
-from repro.service.store import MemoryStore, StoreError
+from repro.service.store import StoreError
 from repro.store.recovery import (
     load_session_state,
     recover_session,
@@ -33,7 +33,7 @@ def seed_session(store, small_data, batches=4, seed=7):
         "wal_seq": 0,
         "session": session_to_payload(session),
     }
-    store.put("s", payload)
+    store.checkpoint_and_prune("s", payload, 0)
     for i in range(batches):
         store.append_feedback("s", make_batch(i))
     return session
@@ -50,12 +50,14 @@ class TestPolicyValidation:
 
 
 class TestLoadSessionState:
-    def test_plain_store_recovers_checkpoint_only(self):
-        store = MemoryStore()
-        store.put("s", {"wal_seq": 0, "session": {}})
+    def test_plain_store_recovers_checkpoint_only(self, tmp_path):
+        """A checkpoint with no log tail recovers to exactly itself."""
+        store = SQLiteStore(tmp_path / "s.db", fsync="off")
+        store.checkpoint_and_prune("s", {"wal_seq": 0, "session": {}}, 0)
         state = load_session_state(store, "s")
         assert state.records == []
         assert state.replayed_batches == 0
+        store.close()
 
     def test_tail_loaded_past_checkpoint(self, durable_store, small_data):
         seed_session(durable_store, small_data, batches=3)
@@ -174,11 +176,13 @@ class TestVerifyStore:
 class TestApiErrorKind:
     """A damaged store surfaces as ``corrupt_store``, not ``server_error``."""
 
-    def test_corrupt_checkpoint_maps_to_corrupt_store(self, small_data):
+    def test_corrupt_checkpoint_maps_to_corrupt_store(
+        self, small_data, tmp_path
+    ):
         from repro.service.api import ServiceAPI
         from repro.service.manager import SessionManager
 
-        class RottenStore(MemoryStore):
+        class RottenStore(SQLiteStore):
             def get(self, session_id):
                 raise StoreError("checkpoint bytes are rotten")
 
@@ -186,7 +190,10 @@ class TestApiErrorKind:
                 return True
 
         api = ServiceAPI(
-            SessionManager({"small": small_data}, store=RottenStore())
+            SessionManager(
+                {"small": small_data},
+                store=RottenStore(tmp_path / "s.db", fsync="off"),
+            )
         )
         status, payload, kind = api._dispatch(
             "GET", "/v1/sessions/ghost/view", {}, {}

@@ -17,12 +17,12 @@ def store(tmp_path):
 
 class TestCheckpoints:
     def test_put_get_roundtrip(self, store):
-        store.put("s1", {"dataset": "x", "wal_seq": 3})
+        store.checkpoint_and_prune("s1", {"dataset": "x", "wal_seq": 3}, 3)
         assert store.get("s1") == {"dataset": "x", "wal_seq": 3}
 
     def test_overwrite(self, store):
-        store.put("s", {"v": 1})
-        store.put("s", {"v": 2})
+        store.checkpoint_and_prune("s", {"v": 1}, 0)
+        store.checkpoint_and_prune("s", {"v": 2}, 0)
         assert store.get("s") == {"v": 2}
 
     def test_missing_id_raises(self, store):
@@ -30,18 +30,18 @@ class TestCheckpoints:
             store.get("nope")
 
     def test_contains_and_list(self, store):
-        store.put("b", {"v": 1})
-        store.put("a", {"v": 2})
+        store.checkpoint_and_prune("b", {"v": 1}, 0)
+        store.checkpoint_and_prune("a", {"v": 2}, 0)
         assert "a" in store and "zz" not in store
         assert store.list_ids() == ["a", "b"]
 
     def test_list_ids_includes_wal_only_sessions(self, store):
-        store.put("ckpt", {"v": 1})
+        store.checkpoint_and_prune("ckpt", {"v": 1}, 0)
         store.append_feedback("logonly", [{"kind": "cluster", "rows": [1]}])
         assert store.list_ids() == ["ckpt", "logonly"]
 
     def test_delete_removes_checkpoint_and_log(self, store):
-        store.put("s", {"v": 1})
+        store.checkpoint_and_prune("s", {"v": 1}, 0)
         store.append_feedback("s", [{"rows": [1]}])
         store.delete("s")
         assert "s" not in store
@@ -49,13 +49,13 @@ class TestCheckpoints:
         assert store.feedback_tail("s") == ([], None)
 
     def test_delete_is_idempotent(self, store):
-        store.put("s", {"v": 1})
+        store.checkpoint_and_prune("s", {"v": 1}, 0)
         store.delete("s")
         store.delete("s")
 
     def test_unsafe_session_id_rejected(self, store):
         with pytest.raises(StoreError):
-            store.put("../evil", {"v": 1})
+            store.checkpoint_and_prune("../evil", {"v": 1}, 0)
 
     def test_memory_url_rejected(self):
         with pytest.raises(StoreError):
@@ -163,7 +163,9 @@ class TestCheckpointAndPrune:
 
 class TestSchema:
     def test_fresh_db_has_current_version(self, store):
-        assert store.schema_version() == SCHEMA_VERSION
+        with sqlite3.connect(store.path) as conn:
+            version = conn.execute("PRAGMA user_version").fetchone()[0]
+        assert version == SCHEMA_VERSION
 
     def test_newer_schema_refused(self, tmp_path):
         path = tmp_path / "future.db"
@@ -173,13 +175,13 @@ class TestSchema:
         with pytest.raises(StoreError, match="newer"):
             SQLiteStore(path)
 
-    def test_describe_reports_counts(self, store):
-        store.put("a", {"v": 1})
-        store.append_feedback("a", [{"i": 0}])
-        info = store.describe()
-        assert info["schema_version"] == SCHEMA_VERSION
-        assert info["sessions"]["a"]["checkpointed"]
-        assert info["sessions"]["a"]["tail_records"] == 1
+    def test_negative_schema_refused(self, tmp_path):
+        path = tmp_path / "odd.db"
+        SQLiteStore(path).close()
+        with sqlite3.connect(path) as conn:
+            conn.execute("PRAGMA user_version = -1")
+        with pytest.raises(StoreError, match="schema version -1;"):
+            SQLiteStore(path)
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "garbage.db"
@@ -200,7 +202,7 @@ class TestForkSafety:
     def test_pid_change_reopens_the_connection(self, store, monkeypatch):
         import repro.store.sqlite as sqlite_module
 
-        store.put("a", {"v": 1})
+        store.checkpoint_and_prune("a", {"v": 1}, 0)
         parent_conn = store._conn()
         assert store._conn() is parent_conn  # cached within one process
 
@@ -209,7 +211,7 @@ class TestForkSafety:
         assert child_conn is not parent_conn
         # The store still works through the fresh handle.
         assert store.get("a") == {"v": 1}
-        store.put("b", {"v": 2})
+        store.checkpoint_and_prune("b", {"v": 2}, 0)
         # The inherited handle was dropped without close(): it is still
         # usable, exactly as the parent process would need it to be.
         assert parent_conn.execute("SELECT 1").fetchone() == (1,)
@@ -220,7 +222,7 @@ class TestForkSafety:
     ):
         import repro.store.sqlite as sqlite_module
 
-        store.put("a", {"v": 1})
+        store.checkpoint_and_prune("a", {"v": 1}, 0)
         parent_conn = store._conn()
 
         monkeypatch.setattr(sqlite_module.os, "getpid", lambda: -1)

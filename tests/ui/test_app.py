@@ -132,8 +132,10 @@ class TestUIState:
             [0.5, 1.9, 2.2],  # would truncate onto rows {0, 1, 2}
             np.array([True, False, False, True]),  # would become rows {0, 1}
             ["3", "4"],  # would parse into rows {3, 4}
+            [2, True],  # np.asarray makes this an int64 array: rows {1, 2}
+            [2**63],  # a uint64 array, would wrap to a negative row
         ],
-        ids=["floats", "bool-mask", "strings"],
+        ids=["floats", "bool-mask", "strings", "int-and-bool", "overflow"],
     )
     def test_non_integer_selection_rejected(self, rows):
         state = UIState()
