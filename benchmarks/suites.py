@@ -145,6 +145,25 @@ def _best_of(repeats: int, fn) -> float:
     return float(best)
 
 
+def _interleaved_pairs(pairs: int, base, other) -> tuple[list, list]:
+    """Run ``base(pair)`` and ``other(pair)`` for each of ``pairs`` pairs.
+
+    Alternates which side runs first, so both sides of a pair share one
+    stretch of host speed and neither side always runs second.  Ratio
+    gates take the median of the per-pair ratios.  Returns each side's
+    results in pair order.
+    """
+    bases, others = [], []
+    for pair in range(pairs):
+        if pair % 2:
+            others.append(other(pair))
+            bases.append(base(pair))
+        else:
+            bases.append(base(pair))
+            others.append(other(pair))
+    return bases, others
+
+
 def run_core_solver_suite(quick: bool = True, seed: int = 0) -> dict:
     """Time every vectorized kernel against its reference loop.
 
@@ -421,9 +440,11 @@ def run_store_suite(quick: bool = True, seed: int = 0) -> dict:
     * **append** — seconds to write-ahead-append B feedback batches to
       SQLite, per fsync policy (``always``/``batch``/``off``) — the
       per-request durability cost;
-    * **recover** — open a fresh store and replay a B-batch log tail
-      through ``apply_many`` (crash-restart latency);
-    * **compact** — fold that tail into a fresh checkpoint;
+    * **recover** — open a fresh store and resume the session through a
+      fresh :class:`SessionManager`, replaying a B-batch log tail through
+      ``apply_many`` (crash-restart latency);
+    * **compact** — fold that tail into a fresh checkpoint, as
+      ``repro store compact`` does: resume, checkpoint, release;
     * **durability overhead** — identical loadgen runs against an
       in-process server, no store vs ``sqlite:`` with ``fsync=batch``, in
       ``lg_pairs`` interleaved pairs; the median of the per-pair p99 view
@@ -437,12 +458,7 @@ def run_store_suite(quick: bool = True, seed: int = 0) -> dict:
     from repro.datasets import three_d_clusters
     from repro.feedback import feedback_from_dict
     from repro.service.manager import SessionManager
-    from repro.store import (
-        CompactionPolicy,
-        SQLiteStore,
-        compact_offline,
-        recover_session,
-    )
+    from repro.store import SQLiteStore
 
     size = STORE_SIZES["quick" if quick else "full"]
     batches, repeats = size["batches"], size["repeats"]
@@ -477,7 +493,7 @@ def run_store_suite(quick: bool = True, seed: int = 0) -> dict:
         setup = SessionManager(
             {"three-d": lambda: bundle},
             store=SQLiteStore(db, fsync="off"),
-            compaction=CompactionPolicy(0),  # keep the whole tail unfolded
+            max_tail_records=0,  # keep the whole tail unfolded
         )
         sid = setup.create("three-d", session_id="bench-recover")
         for batch in items:
@@ -485,19 +501,24 @@ def run_store_suite(quick: bool = True, seed: int = 0) -> dict:
                 sid, [feedback_from_dict(b) for b in batch]
             )
 
-        def recover() -> None:
-            recover_session(
-                SQLiteStore(db, fsync="off"), sid, data,
-                standardize=False, seed=0,
+        def offline_manager() -> SessionManager:
+            # Set up as `repro store compact` sets up its own manager.
+            return SessionManager(
+                {"three-d": lambda: bundle},
+                store=SQLiteStore(db, fsync="off"),
+                cache=None,
+                recovery_policy="fail",
             )
+
+        def recover() -> None:
+            offline_manager().session_stats(sid)
 
         timings["recover_replay_s"] = _best_of(repeats, recover)
 
         def compact() -> None:
-            compact_offline(
-                SQLiteStore(db, fsync="off"), sid, data,
-                standardize=False, seed=0,
-            )
+            manager = offline_manager()
+            manager.checkpoint(sid)
+            manager.release(sid)
 
         # First call does the real fold; later repeats are near-no-ops,
         # so time the first call only.
@@ -574,16 +595,14 @@ def _durability_overhead(root: Path, bundle, size: dict, seed: int) -> dict:
         return max(float(stats["p99_ms"]) for stats in views)
 
     view_p99(None)  # warm-up: numpy/solver first-call costs off the clock
-    no_store, durable, ratios = [], [], []
-    for pair in range(size["lg_pairs"]):
-        store = SQLiteStore(root / f"loadgen-{pair}.db", fsync="batch")
-        if pair % 2:
-            durable_ms, no_store_ms = view_p99(store), view_p99(None)
-        else:
-            no_store_ms, durable_ms = view_p99(None), view_p99(store)
-        no_store.append(no_store_ms)
-        durable.append(durable_ms)
-        ratios.append(durable_ms / max(no_store_ms, 1e-9))
+    no_store, durable = _interleaved_pairs(
+        size["lg_pairs"],
+        lambda pair: view_p99(None),
+        lambda pair: view_p99(
+            SQLiteStore(root / f"loadgen-{pair}.db", fsync="batch")
+        ),
+    )
+    ratios = [d / max(n, 1e-9) for n, d in zip(no_store, durable)]
     ratio = float(np.median(ratios))
     return {
         "view_p99_no_store_ms": round(float(np.median(no_store)), 3),
@@ -602,12 +621,15 @@ PROFILER_OVERHEAD_BOUND = 1.10
 
 #: Obs-suite workload sizes.  The solver workload is sized so the
 #: profiled run collects a meaningful number of 100 Hz samples while the
-#: quick mode stays in single-digit seconds.
+#: quick mode stays in single-digit seconds; ``pairs`` interleaved
+#: unprofiled/profiled pairs feed the overhead ratio.
 OBS_SIZES = {
     "quick": {"structural": 6, "d": 12, "n": 2048, "sweeps": 8, "solves": 4,
-              "repeats": 3, "merge_shards": 8, "history_samples": 50},
+              "repeats": 3, "pairs": 7, "merge_shards": 8,
+              "history_samples": 50},
     "full": {"structural": 7, "d": 12, "n": 4096, "sweeps": 8, "solves": 4,
-             "repeats": 5, "merge_shards": 16, "history_samples": 100},
+             "repeats": 5, "pairs": 9, "merge_shards": 16,
+             "history_samples": 100},
 }
 
 
@@ -617,8 +639,10 @@ def run_obs_suite(quick: bool = True, seed: int = 0) -> dict:
     Three measurements, written to ``BENCH_obs.json``:
 
     * **profiler overhead** — the fixed-sweep solver workload, unprofiled
-      vs with :class:`repro.obs.StackProfiler` sampling at ~100 Hz; the
-      wall-clock ratio is exported as the timing key
+      vs with :class:`repro.obs.StackProfiler` sampling at ~100 Hz, in
+      ``pairs`` interleaved pairs that alternate which side runs first
+      (the design of :func:`_durability_overhead`); the median of the
+      per-pair wall-clock ratios is exported as the timing key
       ``profiler_overhead_ratio`` (baselines gate it like any metric) and
       must stay under :data:`PROFILER_OVERHEAD_BOUND`;
     * **history sampling** — seconds to take N time-series snapshots of a
@@ -656,14 +680,24 @@ def run_obs_suite(quick: bool = True, seed: int = 0) -> dict:
             solve_maxent(data, constraints, options=forced)
 
     solve()  # warm-up: first-call numpy/solver costs off the clock
-    unprofiled_s = _best_of(repeats, solve)
     profiler = StackProfiler(interval=0.01)
-    profiler.start()
-    try:
-        profiled_s = _best_of(repeats, solve)
-    finally:
-        profiler.stop()
-    ratio = profiled_s / max(unprofiled_s, 1e-9)
+
+    def profiled_solve() -> float:
+        profiler.start()
+        try:
+            return _best_of(1, solve)
+        finally:
+            profiler.stop()
+
+    # Timed once per run, best of `repeats` per side, the ratio read
+    # 1.12-1.24 in 3 of 7 full quick runs and 0.79-1.08 run alone.
+    unprofiled, profiled = _interleaved_pairs(
+        size["pairs"], lambda _: _best_of(1, solve), lambda _: profiled_solve()
+    )
+    ratios = [p / max(u, 1e-9) for u, p in zip(unprofiled, profiled)]
+    unprofiled_s = float(np.median(unprofiled))
+    profiled_s = float(np.median(profiled))
+    ratio = float(np.median(ratios))
 
     # -- history sampling: recorder-tick cost on a populated registry ----
     registry = MetricsRegistry()
@@ -716,6 +750,7 @@ def run_obs_suite(quick: bool = True, seed: int = 0) -> dict:
             "sweeps": size["sweeps"],
             "solves": size["solves"],
             "repeats": repeats,
+            "pairs": size["pairs"],
             "merge_shards": size["merge_shards"],
             "history_samples": size["history_samples"],
             "seed": seed,
@@ -724,6 +759,7 @@ def run_obs_suite(quick: bool = True, seed: int = 0) -> dict:
         "profiling": {
             "solve_unprofiled_s": round(unprofiled_s, 6),
             "solve_profiled_s": round(profiled_s, 6),
+            "pair_ratios": [round(r, 4) for r in ratios],
             "ratio": round(ratio, 4),
             "bound": PROFILER_OVERHEAD_BOUND,
             "within_bound": ratio <= PROFILER_OVERHEAD_BOUND,
@@ -900,18 +936,21 @@ def run_service_suite(quick: bool = False, seed: int = 0) -> dict:
     Spawns real worker processes behind the sticky-session router and
     drives the same concurrent session workload (create, feedback, view,
     delete — each session with distinct constraints, so every session
-    pays its own solves) against a single-worker and a multi-worker
-    fleet.  Gated timings:
+    pays its own solves) against a fresh single-worker and a fresh
+    multi-worker fleet, in ``pairs`` interleaved pairs that alternate
+    which fleet runs first (the design of :func:`_durability_overhead`).
+    Gated timings, each the median over the pairs' runs:
 
     * ``rpc_roundtrip_s`` — one ping over the length-prefixed socket
       RPC; the per-request tax of the process hop.
     * ``single_vs_multi_throughput_ratio`` — multi-worker wall time over
       single-worker wall time for the identical workload (equivalently
-      single-worker throughput over multi-worker throughput).  Lower is
-      better; on a 4-core runner the target is <= 0.4 (the >= 2.5x
-      speedup of the roadmap), while the committed baseline only bounds
-      the *overhead* so the gate also passes on starved 1-core CI
-      machines where no parallel speedup is physically available.
+      single-worker throughput over multi-worker throughput), the median
+      of the per-pair ratios.  Lower is better; on a 4-core runner the
+      target is <= 0.4 (the >= 2.5x speedup of the roadmap), while the
+      committed baseline only bounds the *overhead* so the gate also
+      passes on starved 1-core CI machines where no parallel speedup is
+      physically available.
 
     ``view_p99_s`` and the absolute throughputs ride along
     informationally.  Writes ``BENCH_service.json``.
@@ -924,9 +963,11 @@ def run_service_suite(quick: bool = False, seed: int = 0) -> dict:
     from repro.service.worker import WorkerConfig
 
     size = (
-        {"sessions": 4, "rounds": 2, "pings": 100, "multi_workers": 2}
+        {"sessions": 4, "rounds": 2, "pings": 100, "multi_workers": 2,
+         "pairs": 7}
         if quick
-        else {"sessions": 8, "rounds": 3, "pings": 500, "multi_workers": 4}
+        else {"sessions": 8, "rounds": 3, "pings": 500, "multi_workers": 4,
+              "pairs": 9}
     )
 
     def run_fleet(n_workers: int) -> dict:
@@ -997,12 +1038,27 @@ def run_service_suite(quick: bool = False, seed: int = 0) -> dict:
             "elapsed_s": elapsed,
             "rpc_roundtrip_s": rpc_roundtrip,
             "view_p99_s": float(np.percentile(view_latencies, 99)),
-            "throughput_sessions_per_s": size["sessions"] / elapsed,
         }
 
-    single = run_fleet(1)
-    multi = run_fleet(size["multi_workers"])
-    ratio = multi["elapsed_s"] / single["elapsed_s"]
+    # One run per fleet divides two ~0.15 s wall times, and a slow
+    # stretch of the host on either side moved the ratio past the bound
+    # (one full quick run read 1.509).
+    singles, multis = _interleaved_pairs(
+        size["pairs"],
+        lambda _: run_fleet(1),
+        lambda _: run_fleet(size["multi_workers"]),
+    )
+    ratios = [m["elapsed_s"] / s["elapsed_s"] for s, m in zip(singles, multis)]
+    single, multi = (
+        {
+            key: float(np.median([run[key] for run in runs]))
+            for key in ("elapsed_s", "rpc_roundtrip_s", "view_p99_s")
+        }
+        for runs in (singles, multis)
+    )
+    for side in (single, multi):
+        side["throughput_sessions_per_s"] = size["sessions"] / side["elapsed_s"]
+    ratio = float(np.median(ratios))
 
     timings = {
         "rpc_roundtrip_s": multi["rpc_roundtrip_s"],
@@ -1018,6 +1074,7 @@ def run_service_suite(quick: bool = False, seed: int = 0) -> dict:
             "rounds": size["rounds"],
             "pings": size["pings"],
             "multi_workers": size["multi_workers"],
+            "pairs": size["pairs"],
             "dataset": "three-d",
             "seed": seed,
         },
@@ -1027,6 +1084,7 @@ def run_service_suite(quick: bool = False, seed: int = 0) -> dict:
                 k: round(v, 6) for k, v in single.items()
             },
             "multi_worker": {k: round(v, 6) for k, v in multi.items()},
+            "pair_ratios": [round(r, 4) for r in ratios],
             "speedup": round(
                 single["elapsed_s"] / multi["elapsed_s"], 4
             ),

@@ -1074,8 +1074,10 @@ def cmd_store(
     """``repro store inspect|verify|compact`` — offline store tooling."""
     import json
 
+    from repro.errors import ReproError
+    from repro.service.manager import SessionManager
     from repro.service.store import SessionNotFoundError, StoreError
-    from repro.store import compact_offline, store_from_url, verify_store
+    from repro.store import store_from_url, verify_store
 
     try:
         store = store_from_url(url)
@@ -1145,26 +1147,19 @@ def cmd_store(
             print("store OK" if report["ok"] else "store has damage")
         return 0 if report["ok"] else 1
 
-    # compact
+    # compact: resume, checkpoint and release each session through the
+    # server's own recovery, so the fold keeps its idempotency keys.
+    manager = SessionManager(
+        DATASETS, store=store, cache=None, recovery_policy="fail"
+    )
     ids = [session] if session else store.list_ids()
     results = {}
     status = 0
     for sid in ids:
         try:
-            payload = store.get(sid)
-            dataset = payload.get("dataset")
-            if dataset not in DATASETS:
-                raise StoreError(
-                    f"checkpoint names unknown dataset {dataset!r}"
-                )
-            results[sid] = compact_offline(
-                store,
-                sid,
-                DATASETS[dataset]().data,
-                standardize=bool(payload.get("standardize", False)),
-                seed=payload.get("seed", 0),
-            )
-        except (StoreError, SessionNotFoundError) as exc:
+            results[sid] = manager.checkpoint(sid)
+            manager.release(sid)
+        except ReproError as exc:
             results[sid] = {"error": str(exc)}
             status = 1
     if as_json:

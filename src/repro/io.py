@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.background import BackgroundModel
 from repro.core.constraint import Constraint, ConstraintKind, integer_rows
 from repro.core.session import ExplorationSession
 from repro.errors import DataShapeError
@@ -254,66 +253,3 @@ def constraint_set_fingerprint(constraints) -> str:
         digest.update(np.ascontiguousarray(c.rows).tobytes())
         digest.update(np.ascontiguousarray(c.w).tobytes())
     return digest.hexdigest()[:32]
-
-
-def save_model_parameters(model: BackgroundModel, path: str | Path) -> None:
-    """Persist fitted per-class parameters to an .npz file.
-
-    Useful for caching expensive fits of large constraint sets; restore
-    with :func:`load_model_parameters`.
-    """
-    params, classes = model._require_fit()  # noqa: SLF001 — intentional
-    np.savez_compressed(
-        Path(path),
-        fingerprint=np.frombuffer(
-            data_fingerprint(model.data).encode(), dtype=np.uint8
-        ),
-        constraint_fingerprint=np.frombuffer(
-            constraint_set_fingerprint(model.constraints).encode(), dtype=np.uint8
-        ),
-        theta1=params.theta1,
-        sigma=params.sigma,
-        mean=params.mean,
-        class_of_row=classes.class_of_row,
-    )
-
-
-def load_model_parameters(model: BackgroundModel, path: str | Path) -> None:
-    """Restore fitted parameters saved by :func:`save_model_parameters`.
-
-    The model must carry the same data and an equivalent constraint set
-    (same row partition); the fingerprint and partition are verified.
-    """
-    from repro.core.equivalence import build_equivalence_classes
-    from repro.core.parameters import ClassParameters
-    from repro.core.solver import SolverReport
-
-    with np.load(Path(path)) as blob:
-        stored_fp = bytes(blob["fingerprint"]).decode()
-        if stored_fp != data_fingerprint(model.data):
-            raise DataShapeError(
-                "parameter file was saved from different data"
-            )
-        stored_cfp = bytes(blob["constraint_fingerprint"]).decode()
-        if stored_cfp != constraint_set_fingerprint(model.constraints):
-            raise DataShapeError(
-                "parameter file does not match the model's constraint set"
-            )
-        classes = build_equivalence_classes(
-            model.n_rows, list(model.constraints)
-        )
-        if not np.array_equal(classes.class_of_row, blob["class_of_row"]):
-            raise DataShapeError(
-                "parameter file does not match the model's row partition"
-            )
-        params = ClassParameters(
-            theta1=blob["theta1"].copy(),
-            sigma=blob["sigma"].copy(),
-            mean=blob["mean"].copy(),
-        )
-    model._params = params          # noqa: SLF001 — intentional restore
-    model._classes = classes        # noqa: SLF001
-    model._report = SolverReport(
-        converged=True, sweeps=0, steps=0, elapsed=0.0, max_lambda_change=0.0
-    )
-    model._dirty = False            # noqa: SLF001

@@ -56,7 +56,6 @@ from repro.resilience.retry import (
     BreakerOpen,
     CircuitBreaker,
     RetryDecision,
-    RetryPolicy,
     backoff_delay,
     classify,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "FaultSpec",
     "OverloadedError",
     "RetryDecision",
-    "RetryPolicy",
     "active_chaos",
     "backoff_delay",
     "check_deadline",

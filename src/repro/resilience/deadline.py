@@ -71,10 +71,6 @@ class Deadline:
         self.started = time.monotonic() if clock is None else clock
         self.expires = self.started + self.budget_ms / 1e3
 
-    def remaining_ms(self) -> float:
-        """Milliseconds left (negative once expired)."""
-        return (self.expires - time.monotonic()) * 1e3
-
     def expired(self) -> bool:
         return time.monotonic() >= self.expires
 

@@ -37,7 +37,6 @@ __all__ = [
     "BreakerOpen",
     "CircuitBreaker",
     "RetryDecision",
-    "RetryPolicy",
     "backoff_delay",
     "classify",
 ]
@@ -108,30 +107,6 @@ def classify(
         # time — the one *answered* status worth resending.
         return RetryDecision(True, "server_retryable", retry_after)
     return RetryDecision(False, "final")
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Knobs of the retry loop (see :class:`ServiceClient`).
-
-    ``connect_retries`` bounds connection-refused retries (the historic
-    knob, kept as-is); ``max_retries`` bounds every other retryable
-    class; ``budget_seconds`` caps the *total* backoff sleep of one
-    logical request, so pathological Retry-After loops terminate.
-    """
-
-    connect_retries: int = 3
-    max_retries: int = 2
-    base_delay: float = 0.1
-    max_delay: float = 2.0
-    budget_seconds: float = 15.0
-
-    def attempts_for(self, kind: str) -> int:
-        return (
-            self.connect_retries
-            if kind == "connection_refused"
-            else self.max_retries
-        )
 
 
 class BreakerOpen(Exception):

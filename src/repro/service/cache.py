@@ -133,6 +133,14 @@ def classes_view(frozen: EquivalenceClasses) -> EquivalenceClasses:
 # ----------------------------------------------------------------------
 
 
+#: Drop every row past the newest ``max_entries`` (by store time).
+_TRIM_SQL = (
+    "DELETE FROM solves WHERE key IN ("
+    " SELECT key FROM solves ORDER BY created_at DESC"
+    " LIMIT -1 OFFSET ?)"
+)
+
+
 class L2SolveCache:
     """SQLite-backed solve-cache tier shared between processes.
 
@@ -184,6 +192,13 @@ class L2SolveCache:
             " arrays BLOB NOT NULL,"
             " meta TEXT NOT NULL,"
             " created_at REAL NOT NULL)"
+        )
+        # The trim in put() walks store times newest first.  Without this
+        # index it reads every row, and created_at sits past each row's
+        # arrays blob, so a put's cost grew with the table.
+        conn.execute(
+            "CREATE INDEX IF NOT EXISTS solves_created_at"
+            " ON solves (created_at)"
         )
         self._local.conn = conn
         self._local.pid = os.getpid()
@@ -296,11 +311,7 @@ class L2SolveCache:
                 "created_at = excluded.created_at",
                 (key, arrays, meta, time.time()),
             )
-            conn.execute(
-                "DELETE FROM solves WHERE key IN ("
-                " SELECT key FROM solves ORDER BY created_at DESC"
-                f" LIMIT -1 OFFSET {self.max_entries})"
-            )
+            conn.execute(_TRIM_SQL, (self.max_entries,))
             return True
         except (sqlite3.Error, OSError):
             return False

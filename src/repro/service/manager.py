@@ -17,7 +17,10 @@ library's single-session loop it adds exactly what a server needs:
   (:class:`~repro.store.sqlite.SQLiteStore`, ``sqlite:``), every
   feedback batch is durable before its apply commits and crash recovery
   replays the log tail bit-for-bit; see the constructor's "Store" notes.
-  Without a store, sessions live in process memory only.
+  Without a store, sessions live in process memory only.  This class is
+  the one code path that rebuilds a session from the store and folds
+  its log: ``repro store compact`` runs the same resume and checkpoint
+  offline, so idempotency keys survive the fold.
 
 Everything here is transport-agnostic; the HTTP layer in
 :mod:`repro.service.api` is a thin JSON veneer over these methods.
@@ -66,7 +69,6 @@ from repro.service.store import (
     StoreError,
     validate_session_id,
 )
-from repro.store.compaction import CompactionPolicy, should_compact
 from repro.resilience import chaos
 from repro.store.recovery import (
     load_session_state,
@@ -136,7 +138,7 @@ class _Entry:
         # Durable-store bookkeeping: the highest WAL sequence number this
         # in-memory session has applied (what the next checkpoint folds),
         # and how many log records have accumulated since the last fold
-        # (what the compaction policy watches).
+        # (what ``max_tail_records`` watches).
         self.wal_seq = 0
         self.tail_records = 0
         # Recently applied idempotency keys (key -> applied labels), LRU
@@ -181,10 +183,11 @@ class SessionManager:
         How resume treats a damaged feedback log:
         ``"truncate"`` (default) recovers the valid prefix and warns,
         ``"fail"`` raises :class:`StoreError`.
-    compaction:
-        When to fold the store's feedback log into a fresh checkpoint;
-        defaults to :class:`CompactionPolicy` (64 tail records).  Pass
-        ``CompactionPolicy(0)`` to disable automatic folding.
+    max_tail_records:
+        Log records a session accumulates before its next logged apply
+        folds them into a fresh checkpoint (default 64: replay cost is
+        linear in the tail, a checkpoint costs about the same at any
+        length).  ``0`` disables automatic folding.
     clock:
         Monotonic time source; injectable for tests.
 
@@ -194,7 +197,10 @@ class SessionManager:
     write-ahead log *before* the in-memory apply commits, a genesis
     checkpoint is written at :meth:`create`, and resume replays the log
     tail through the normal ``apply_many`` codepath — so every
-    acknowledged batch survives a crash bit-for-bit.
+    acknowledged batch survives a crash bit-for-bit.  A checkpoint
+    carries the session's applied idempotency keys and resume adds the
+    keys of the replayed tail, so a retry stays exactly-once across
+    eviction, restart, worker handoff and an offline fold.
     """
 
     def __init__(
@@ -206,7 +212,7 @@ class SessionManager:
         max_sessions: int = 64,
         ttl_seconds: float | None = None,
         recovery_policy: str = "truncate",
-        compaction: CompactionPolicy | None = None,
+        max_tail_records: int = 64,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_sessions <= 0:
@@ -230,9 +236,7 @@ class SessionManager:
         self.max_sessions = int(max_sessions)
         self.ttl_seconds = ttl_seconds
         self.recovery_policy = validate_recovery_policy(recovery_policy)
-        self.compaction = (
-            compaction if compaction is not None else CompactionPolicy()
-        )
+        self.max_tail_records = int(max_tail_records)
         self._clock = clock
         self._created = 0
         self._resumed = 0
@@ -508,12 +512,14 @@ class SessionManager:
     # Eviction / expiry / checkpointing
     # ------------------------------------------------------------------
 
-    def _checkpoint_entry(self, entry: _Entry) -> None:
+    def _checkpoint_entry(self, entry: _Entry) -> int:
         """Persist the entry's knowledge state and fold its log.
 
         The in-memory session already contains every logged record up to
         ``entry.wal_seq``, so the checkpoint covers them and prunes them
-        in the same transaction.
+        in the same transaction.  The payload written here is the one
+        checkpoint format; :meth:`_resume_locked` is its one reader.
+        Returns how many log records were pruned.
         """
         payload = {
             "session_id": entry.session_id,
@@ -539,6 +545,7 @@ class SessionManager:
             perf.add("store.compactions")
             perf.add("store.compacted_records", pruned)
         self._checkpoints += 1
+        return pruned
 
     def _evict_locked(self) -> None:
         while len(self._entries) > self.max_sessions:
@@ -576,12 +583,26 @@ class SessionManager:
                 del self._entries[entry.session_id]
                 self._expired += 1
 
-    def checkpoint(self, session_id: str) -> None:
-        """Persist one session's knowledge state to the store now."""
+    def checkpoint(self, session_id: str) -> dict:
+        """Persist one session's knowledge state to the store now.
+
+        Resumes the session first when it is not in memory, so this is
+        also the offline fold of ``repro store compact``.  Returns
+        ``{"replayed": n, "pruned": n, "wal_seq": n}``: the log records
+        the checkpoint folds in (for a session this call resumed, the
+        tail its recovery replayed), the records it pruned, and the
+        sequence number it covers.
+        """
         if self.store is None:
             raise NoStoreError("no session store attached to this manager")
         with self._checkout(session_id) as entry:
-            self._checkpoint_entry(entry)
+            replayed = entry.tail_records
+            pruned = self._checkpoint_entry(entry)
+            return {
+                "replayed": replayed,
+                "pruned": pruned,
+                "wal_seq": entry.wal_seq,
+            }
 
     def checkpoint_all(self) -> int:
         """Checkpoint every in-memory session (e.g. on shutdown).
@@ -763,7 +784,7 @@ class SessionManager:
             return
         entry.wal_seq = record.seq
         entry.tail_records += 1
-        if should_compact(self.compaction, entry.tail_records):
+        if 0 < self.max_tail_records <= entry.tail_records:
             try:
                 self._checkpoint_entry(entry)
             except StoreError:

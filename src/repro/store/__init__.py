@@ -3,10 +3,15 @@
 The one store is :class:`SQLiteStore` (:mod:`repro.store.sqlite`): each
 session's latest checkpoint and the write-ahead feedback log since it,
 in one database.  Around it: the log's records and fsync policies
-(:mod:`repro.store.wal`), crash recovery by checkpoint + replay
-(:mod:`repro.store.recovery`), and log compaction
-(:mod:`repro.store.compaction`).  The store errors and the session-id
-rule live in :mod:`repro.service.store`.
+(:mod:`repro.store.wal`), and reading a checkpoint with its validated
+log tail plus the integrity sweep (:mod:`repro.store.recovery`).  The
+store errors and the session-id rule live in :mod:`repro.service.store`.
+
+Rebuilding a session from the store and folding its log into a fresh
+checkpoint belong to :class:`~repro.service.manager.SessionManager`
+alone; ``repro store compact`` resumes, checkpoints and releases each
+session through one, so an offline fold keeps the session's idempotency
+keys exactly as a server's fold does.
 
 :func:`store_from_url` maps the CLI's ``--store sqlite:PATH`` URL onto
 the store.  Without ``--store`` a server keeps its sessions in process
@@ -16,16 +21,10 @@ memory, and they end with it.
 from __future__ import annotations
 
 from repro.service.store import StoreError
-from repro.store.compaction import (
-    CompactionPolicy,
-    compact_offline,
-    should_compact,
-)
 from repro.store.recovery import (
     RECOVERY_POLICIES,
     RecoveredState,
     load_session_state,
-    recover_session,
     replay_records,
     validate_recovery_policy,
     verify_store,
@@ -41,16 +40,12 @@ from repro.store.wal import (
 __all__ = [
     "FSYNC_POLICIES",
     "RECOVERY_POLICIES",
-    "CompactionPolicy",
     "RecoveredState",
     "SQLiteStore",
     "WalRecord",
-    "compact_offline",
     "load_session_state",
     "record_checksum",
-    "recover_session",
     "replay_records",
-    "should_compact",
     "store_from_url",
     "validate_fsync_policy",
     "validate_recovery_policy",

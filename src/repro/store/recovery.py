@@ -21,16 +21,19 @@ The sequence of steps for one session:
 4. rebuild the session from the checkpoint payload and replay the
    surviving records through the same ``apply_many`` / ``undo`` codepath
    a live server uses.
+
+Steps 1-3 are :func:`load_session_state` and the replay in step 4 is
+:func:`replay_records`; the rebuild around them — checkpoint payload,
+idempotency keys, bookkeeping — is
+:meth:`repro.service.manager.SessionManager._resume_locked`, the one
+place a session is rebuilt from the store, online or offline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.feedback import feedback_from_dict
-from repro.io import session_from_payload
 from repro.service.store import StoreError
 from repro.store.sqlite import SQLiteStore
 from repro.store.wal import WalRecord
@@ -39,7 +42,6 @@ __all__ = [
     "RECOVERY_POLICIES",
     "RecoveredState",
     "load_session_state",
-    "recover_session",
     "replay_records",
     "validate_recovery_policy",
     "verify_store",
@@ -173,33 +175,6 @@ def replay_records(session, records: list[WalRecord]) -> int:
                 f"cannot replay WAL record kind {record.kind!r}"
             )
     return applied
-
-
-def recover_session(
-    store: SQLiteStore,
-    session_id: str,
-    data: np.ndarray,
-    *,
-    standardize: bool = True,
-    seed: int | None = None,
-    policy: str = "truncate",
-) -> tuple[object, RecoveredState]:
-    """Full recovery: load state, rebuild the session, replay the tail.
-
-    ``data`` / ``standardize`` / ``seed`` mirror
-    :func:`repro.io.session_from_payload` — the checkpoint pins the data
-    fingerprint, so handing recovery the wrong dataset fails loudly.
-    Returns ``(session, state)``.
-    """
-    state = load_session_state(store, session_id, policy=policy)
-    session = session_from_payload(
-        data,
-        state.payload.get("session", {}),
-        standardize=standardize,
-        seed=seed,
-    )
-    replay_records(session, state.records)
-    return session, state
 
 
 def verify_store(store: SQLiteStore, policy: str = "fail") -> dict:

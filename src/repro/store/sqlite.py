@@ -73,8 +73,8 @@ class SQLiteStore:
 
     It holds each session's latest checkpoint (a JSON payload keyed by
     session id) and the feedback log since that checkpoint;
-    :mod:`repro.store.recovery` composes the two back into a live
-    session.
+    :class:`~repro.service.manager.SessionManager` composes the two
+    back into a live session.
 
     Parameters
     ----------

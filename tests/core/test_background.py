@@ -182,17 +182,18 @@ class TestWhitenMemo:
         fresh = row_negative_log_density(model.data, params, classes)
         assert np.array_equal(model.row_surprise(), fresh)
 
-    def test_restored_parameters_are_whitened_afresh(
-        self, two_cluster_data, tmp_path
-    ):
+    def test_restored_parameters_are_whitened_afresh(self, two_cluster_data):
         from repro.core.whitening import whiten
-        from repro.io import load_model_parameters, save_model_parameters
+        from repro.service.cache import SolveCache
 
         model = self._fitted(two_cluster_data)
+        cache = SolveCache()
+        key = cache.key_for(model)
+        cache.store(model, key)
         before = model.whiten()
-        path = tmp_path / "params.npz"
-        save_model_parameters(model, path)
-        load_model_parameters(model, path)
+        # A fit installed from the solve cache into an already-whitened
+        # model must not be served the old whitened matrix.
+        assert cache.fetch(model, key)
         after = model.whiten()
         assert after is not before
         params, classes = model._require_fit()

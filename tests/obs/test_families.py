@@ -18,7 +18,6 @@ from repro.obs import read_events
 from repro.resilience.admission import AdmissionController
 from repro.service.api import ServiceAPI
 from repro.service.manager import SessionManager
-from repro.store.compaction import CompactionPolicy
 from repro.store.recovery import load_session_state
 from repro.store.sqlite import SQLiteStore
 
@@ -103,7 +102,7 @@ def _durable(path, data, **kw) -> SessionManager:
     return SessionManager(
         {"demo": data},
         store=SQLiteStore(path),
-        compaction=CompactionPolicy(0),
+        max_tail_records=0,
         **kw,
     )
 
@@ -228,7 +227,7 @@ def test_a_resume_over_a_torn_tail_warns(events, data, tmp_path):
     warnings = len(load_session_state(store, sid, policy="truncate").warnings)
     assert warnings >= 1
     fresh = SessionManager(
-        {"demo": data}, store=store, compaction=CompactionPolicy(0)
+        {"demo": data}, store=store, max_tail_records=0
     )
     with _Delta() as change:
         stats = fresh.session_stats(sid)

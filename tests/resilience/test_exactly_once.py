@@ -25,7 +25,7 @@ from repro.feedback import ClusterFeedback
 from repro.resilience import ChaosError, configure_chaos, disable_chaos
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.manager import SessionManager
-from repro.store.recovery import recover_session, verify_store
+from repro.store.recovery import verify_store
 from repro.store.sqlite import SQLiteStore
 
 _REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -76,13 +76,14 @@ class TestInProcessPostCommitFault:
         assert stats["applied"] == ["batch-0"]
         assert len(stats["feedback_log"]) == 1
 
-        # The durable log holds exactly one record...
+        # The durable log holds exactly one record, which a fresh
+        # manager resumes once...
         manager.checkpoint(sid)
-        recovered, state = recover_session(
-            store, sid, data, standardize=False, seed=SEED
-        )
-        assert state.wal_seq == 1
-        assert [f.label for f in recovered.feedback_log] == ["batch-0"]
+        fresh = SessionManager({"wl": data}, store=store)
+        assert store.last_seq(sid) == 1
+        assert [
+            item["label"] for item in fresh.session_stats(sid)["feedback_log"]
+        ] == ["batch-0"]
 
         # ...and the view equals an oracle that saw the batch once.
         oracle = ExplorationSession(data, seed=SEED)
@@ -231,21 +232,20 @@ def test_kill9_post_commit_retry_is_exactly_once(tmp_path):
     store = SQLiteStore(db_path)
     report = verify_store(store, policy="fail")
     assert report["ok"], report
-    recovered, state = recover_session(
-        store, "kill", workload_data(), standardize=False, seed=SEED
-    )
-    assert state.wal_seq == 3
-    assert [f.label for f in recovered.feedback_log] == [
-        "batch-0", "batch-1", "batch-2",
-    ]
+    manager = SessionManager({"wl": workload_data()}, store=store)
+    assert store.last_seq("kill") == 3
+    assert [
+        item["label"] for item in manager.session_stats("kill")["feedback_log"]
+    ] == ["batch-0", "batch-1", "batch-2"]
     oracle = ExplorationSession(workload_data(), seed=SEED)
     for i in range(3):
         oracle.apply_many([make_item(i)])
+    recovered, _ = manager.view("kill")
     np.testing.assert_array_equal(
-        recovered.current_view().axes, oracle.current_view().axes
+        recovered.axes, oracle.current_view().axes
     )
     np.testing.assert_array_equal(
-        recovered.current_view().scores, oracle.current_view().scores
+        recovered.scores, oracle.current_view().scores
     )
     np.testing.assert_array_equal(
         np.asarray(view["axes"]), oracle.current_view().axes

@@ -211,6 +211,20 @@ class TestL2Tier:
         assert keys[-1] in l2
         assert keys[0] not in l2
 
+    def test_trim_walks_the_store_time_index(self, tmp_path):
+        """The trim reads the created_at index, not every row's blob."""
+        from repro.service.cache import _TRIM_SQL
+
+        l2 = L2SolveCache(tmp_path / "solve-cache.db", max_entries=3)
+        plan = " | ".join(
+            row[-1]
+            for row in l2._conn().execute(
+                f"EXPLAIN QUERY PLAN {_TRIM_SQL}", (l2.max_entries,)
+            )
+        )
+        assert "solves_created_at" in plan, plan
+        assert "TEMP B-TREE" not in plan, plan
+
     def test_l2_errors_never_break_the_fit_path(
         self, two_cluster_data, tmp_path, monkeypatch
     ):

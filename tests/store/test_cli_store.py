@@ -82,13 +82,12 @@ def _seed_served_session(url, dataset="three-d", batches=3, sid="cli-s"):
     """Create a session + feedback the way a durable server would."""
     from repro.feedback import ClusterFeedback
     from repro.service.manager import SessionManager
-    from repro.store.compaction import CompactionPolicy
 
     store = store_from_url(url)
     manager = SessionManager(
         {dataset: DATASETS[dataset]().data},
         store=store,
-        compaction=CompactionPolicy(0),
+        max_tail_records=0,
     )
     manager.create(dataset, session_id=sid, seed=0)
     for i in range(batches):
@@ -134,6 +133,60 @@ class TestCmdStore:
         report = json.loads(capsys.readouterr().out)
         assert report["sessions"]["cli-s"]["tail_records"] == 0
         assert report["sessions"]["cli-s"]["checkpoint_wal_seq"] == 3
+
+    def test_compact_keeps_idempotency_keys(self, tmp_path, capsys):
+        """A retry after an offline fold is answered, not applied again."""
+        from repro.feedback import ClusterFeedback
+        from repro.service.manager import SessionManager
+
+        url = f"sqlite:{tmp_path / 's.db'}"
+        batch = [ClusterFeedback(rows=(0, 1, 2), label="a")]
+
+        def manager():
+            return SessionManager(
+                {"three-d": DATASETS["three-d"]().data},
+                store=store_from_url(url),
+            )
+
+        first = manager()
+        first.create("three-d", session_id="keyed", seed=0)
+        first.apply_feedback("keyed", batch, idempotency_key="k-1")
+        assert cmd_store("compact", url, as_json=True) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["keyed"] == {"replayed": 1, "pruned": 1, "wal_seq": 1}
+        retry = manager().apply_feedback(
+            "keyed", batch, idempotency_key="k-1"
+        )
+        assert retry["duplicate"] is True
+        assert retry["feedback"] == ["a"]
+        assert [item["label"] for item in retry["feedback_log"]] == ["a"]
+
+    def test_compact_one_session_leaves_the_others(self, tmp_path, capsys):
+        url = f"sqlite:{tmp_path / 's.db'}"
+        _seed_served_session(url, sid="one")
+        _seed_served_session(url, sid="two")
+        assert cmd_store("compact", url, as_json=True, session="one") == 0
+        assert list(json.loads(capsys.readouterr().out)) == ["one"]
+        assert cmd_store("inspect", url, as_json=True) == 0
+        sessions = json.loads(capsys.readouterr().out)["sessions"]
+        assert sessions["one"]["tail_records"] == 0
+        assert sessions["two"]["tail_records"] == 3
+
+    def test_compact_refuses_a_damaged_log(self, tmp_path, capsys):
+        """The fold never truncates: a gap fails the session, untouched."""
+        import sqlite3
+
+        db = tmp_path / "s.db"
+        _seed_served_session(f"sqlite:{db}")
+        with sqlite3.connect(db) as conn:
+            conn.execute("DELETE FROM wal WHERE seq = 2")
+        assert cmd_store("compact", f"sqlite:{db}") == 1
+        assert "FAILED" in capsys.readouterr().out
+        store = SQLiteStore(db)
+        records, _ = store.feedback_tail("cli-s")
+        assert [record.seq for record in records] == [1, 3]
+        assert store.get("cli-s")["wal_seq"] == 0
+        store.close()
 
     def test_compact_rejects_checkpoint_only_store(self, capsys):
         assert cmd_store("compact", "memory:") == 2

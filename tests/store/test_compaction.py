@@ -1,16 +1,12 @@
-"""Tests for log compaction: policy, offline folds, manager integration."""
+"""Tests for log compaction: the manager's threshold and its offline fold."""
 
 import numpy as np
 
 from repro.core.session import ExplorationSession
 from repro.feedback import ClusterFeedback
 from repro.io import session_to_payload
-from repro.store.compaction import (
-    CompactionPolicy,
-    compact_offline,
-    should_compact,
-)
-from repro.store.recovery import recover_session
+from repro.service.manager import SessionManager
+from repro.store.sqlite import SQLiteStore
 
 
 def make_item(i: int) -> ClusterFeedback:
@@ -35,30 +31,63 @@ def seed_store(store, data, batches, seed=7):
         store.append_feedback("s", [make_item(i).to_dict()])
 
 
+def offline_manager(store, data) -> SessionManager:
+    """A manager set up as ``repro store compact`` sets up its own."""
+    return SessionManager(
+        {"small": data}, store=store, cache=None, recovery_policy="fail"
+    )
+
+
+def compact(store, data, session_id="s") -> dict:
+    """One offline fold: resume, checkpoint and release the session."""
+    manager = offline_manager(store, data)
+    result = manager.checkpoint(session_id)
+    assert manager.release(session_id)
+    return result
+
+
 class TestPolicy:
-    def test_defaults_enabled(self):
-        policy = CompactionPolicy()
-        assert policy.enabled
-        assert policy.max_tail_records == 64
+    """``max_tail_records``: fold at the threshold; ``<= 0`` never folds."""
 
-    def test_zero_or_negative_disables(self):
-        assert not CompactionPolicy(0).enabled
-        assert not CompactionPolicy(-5).enabled
+    def test_defaults_enabled(self, tmp_path, small_data):
+        manager = SessionManager(
+            {"small": small_data}, store=SQLiteStore(tmp_path / "s.db")
+        )
+        assert manager.max_tail_records == 64
 
-    def test_should_compact_at_threshold(self):
-        policy = CompactionPolicy(4)
-        assert not should_compact(policy, 3)
-        assert should_compact(policy, 4)
-        assert should_compact(policy, 9)
-        assert not should_compact(CompactionPolicy(0), 1000)
+    def test_zero_or_negative_disables(self, tmp_path, small_data):
+        for threshold in (0, -5):
+            manager = SessionManager(
+                {"small": small_data},
+                store=SQLiteStore(tmp_path / f"off{-threshold}.db"),
+                max_tail_records=threshold,
+            )
+            sid = manager.create("small", session_id="off", seed=5)
+            for i in range(3):
+                manager.apply_feedback(sid, [make_item(i)])
+            assert manager.stats()["compactions"] == 0
+
+    def test_folds_exactly_at_threshold(self, tmp_path, small_data):
+        store = SQLiteStore(tmp_path / "s.db")
+        manager = SessionManager(
+            {"small": small_data}, store=store, max_tail_records=4
+        )
+        sid = manager.create("small", session_id="edge", seed=5)
+        for i in range(3):
+            manager.apply_feedback(sid, [make_item(i)])
+        assert manager.stats()["compactions"] == 0
+        manager.apply_feedback(sid, [make_item(3)])
+        assert manager.stats()["compactions"] == 1
+        assert store.get(sid)["wal_seq"] == 4
+        for i in range(4, 9):
+            manager.apply_feedback(sid, [make_item(i)])
+        assert manager.stats()["compactions"] == 2
 
 
 class TestCompactOffline:
     def test_fold_replays_and_prunes(self, durable_store, small_data):
         seed_store(durable_store, small_data, batches=6)
-        result = compact_offline(
-            durable_store, "s", small_data, standardize=False, seed=7
-        )
+        result = compact(durable_store, small_data)
         assert result["replayed"] == 6
         assert result["pruned"] == 6
         assert result["wal_seq"] == 6
@@ -69,12 +98,8 @@ class TestCompactOffline:
 
     def test_fold_is_idempotent(self, durable_store, small_data):
         seed_store(durable_store, small_data, batches=3)
-        compact_offline(
-            durable_store, "s", small_data, standardize=False, seed=7
-        )
-        again = compact_offline(
-            durable_store, "s", small_data, standardize=False, seed=7
-        )
+        compact(durable_store, small_data)
+        again = compact(durable_store, small_data)
         assert again["replayed"] == 0
         assert again["pruned"] == 0
         assert again["wal_seq"] == 3
@@ -83,35 +108,29 @@ class TestCompactOffline:
         self, durable_store, small_data
     ):
         seed_store(durable_store, small_data, batches=4, seed=13)
-        compact_offline(
-            durable_store, "s", small_data, standardize=False, seed=13
-        )
+        compact(durable_store, small_data)
         # Post-fold appends land above the fold's sequence floor.
         rec = durable_store.append_feedback("s", [make_item(4).to_dict()])
         assert rec.seq == 5
-        session, state = recover_session(
-            durable_store, "s", small_data, standardize=False, seed=13
-        )
+        manager = offline_manager(durable_store, small_data)
+        view, _ = manager.view("s")
         oracle = ExplorationSession(small_data, seed=13)
         for i in range(5):
             oracle.apply_many([make_item(i)])
-        assert state.replayed_batches == 1  # only the post-fold tail
-        assert [f.label for f in session.feedback_log] == [
-            f.label for f in oracle.feedback_log
-        ]
-        np.testing.assert_array_equal(
-            session.current_view().axes, oracle.current_view().axes
-        )
+        assert manager.stats()["replayed_batches"] == 1  # post-fold tail
+        assert [
+            item["label"]
+            for item in manager.session_stats("s")["feedback_log"]
+        ] == [f.label for f in oracle.feedback_log]
+        np.testing.assert_array_equal(view.axes, oracle.current_view().axes)
 
 
 class TestManagerAutoCompaction:
     def test_fold_triggers_at_threshold(self, durable_store, small_data):
-        from repro.service.manager import SessionManager
-
         manager = SessionManager(
             {"small": small_data},
             store=durable_store,
-            compaction=CompactionPolicy(3),
+            max_tail_records=3,
         )
         sid = manager.create("small", session_id="auto", seed=5)
         for i in range(7):
@@ -125,12 +144,10 @@ class TestManagerAutoCompaction:
         assert durable_store.last_seq(sid) == 7
 
     def test_disabled_policy_never_folds(self, durable_store, small_data):
-        from repro.service.manager import SessionManager
-
         manager = SessionManager(
             {"small": small_data},
             store=durable_store,
-            compaction=CompactionPolicy(0),
+            max_tail_records=0,
         )
         sid = manager.create("small", session_id="nofold", seed=5)
         for i in range(6):
@@ -142,12 +159,10 @@ class TestManagerAutoCompaction:
     def test_folded_session_recovers_in_fresh_manager(
         self, durable_store, small_data, reopen
     ):
-        from repro.service.manager import SessionManager
-
         manager = SessionManager(
             {"small": small_data},
             store=durable_store,
-            compaction=CompactionPolicy(2),
+            max_tail_records=2,
         )
         sid = manager.create("small", session_id="refold", seed=9)
         for i in range(5):

@@ -6,7 +6,8 @@ file) after each accepted batch.  The parent SIGKILLs it mid-workload —
 no atexit, no finally blocks, no flushes — then recovers from the
 database alone and checks that every acknowledged batch survived and
 that the recovered view is bit-for-bit identical to an uninterrupted
-oracle session fed the same batches.
+oracle session fed the same batches.  Recovery is the session manager's
+resume, the code a restarted server runs.
 """
 
 import os
@@ -22,7 +23,7 @@ import pytest
 from repro.core.session import ExplorationSession
 from repro.feedback import ClusterFeedback
 from repro.service.manager import SessionManager
-from repro.store.recovery import recover_session, verify_store
+from repro.store.recovery import verify_store
 from repro.store.sqlite import SQLiteStore
 
 _REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -51,7 +52,6 @@ import numpy as np
 
 from repro.feedback import ClusterFeedback
 from repro.service.manager import SessionManager
-from repro.store.compaction import CompactionPolicy
 from repro.store.sqlite import SQLiteStore
 
 db_path, ack_path = sys.argv[1], sys.argv[2]
@@ -65,7 +65,7 @@ store = SQLiteStore(db_path, fsync="always")
 manager = SessionManager(
     {"wl": data},
     store=store,
-    compaction=CompactionPolicy(4),  # fold repeatedly during the run
+    max_tail_records=4,  # fold repeatedly during the run
 )
 sid = manager.create("wl", session_id="crash", seed=123)
 
@@ -133,31 +133,24 @@ def test_kill9_recovers_every_acked_batch_bit_for_bit(tmp_path):
     # Every acknowledged batch is covered: folded into the checkpoint or
     # still replayable in the tail.  (One unacked batch may also have
     # committed if the kill landed between append and ack — fine: it was
-    # durable, recovery replays it too.)
-    recovered, state = recover_session(
-        store, "crash", workload_data(), standardize=False, seed=SEED
-    )
-    total = state.wal_seq
+    # durable, recovery replays it too.)  A fresh manager resumes the
+    # session exactly as a restarted server would.
+    manager = SessionManager({"wl": workload_data()}, store=store)
+    stats = manager.session_stats("crash")
+    total = store.last_seq("crash")
     assert total >= acked
     assert total <= acked + 1
-    labels = [f.label for f in recovered.feedback_log]
+    labels = [item["label"] for item in stats["feedback_log"]]
     assert labels == [f"batch-{i}" for i in range(total)]
 
     # Bit-for-bit view parity against an oracle that never crashed.
     oracle = ExplorationSession(workload_data(), seed=SEED)
     for i in range(total):
         oracle.apply_many([make_item(i)])
-    np.testing.assert_array_equal(
-        recovered.current_view().axes, oracle.current_view().axes
-    )
-    np.testing.assert_array_equal(
-        recovered.current_view().scores, oracle.current_view().scores
-    )
-
-    # And the service layer resumes it the same way a restarted server
-    # would, serving views again.
-    manager = SessionManager({"wl": workload_data()}, store=store)
     view, _ = manager.view("crash")
     np.testing.assert_array_equal(view.axes, oracle.current_view().axes)
+    np.testing.assert_array_equal(
+        view.scores, oracle.current_view().scores
+    )
     assert manager.stats()["durable"] is True
     store.close()

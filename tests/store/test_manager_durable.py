@@ -12,7 +12,6 @@ from repro import obs
 from repro.errors import ConstraintError
 from repro.feedback import ClusterFeedback
 from repro.service.manager import SessionManager
-from repro.store.compaction import CompactionPolicy
 
 
 def make_item(i: int) -> ClusterFeedback:
@@ -25,7 +24,7 @@ def manager(durable_store, small_data):
     return SessionManager(
         {"small": small_data},
         store=durable_store,
-        compaction=CompactionPolicy(0),
+        max_tail_records=0,
     )
 
 
@@ -139,7 +138,7 @@ class TestObsMetrics:
         manager = SessionManager(
             {"small": small_data},
             store=durable_store,
-            compaction=CompactionPolicy(2),
+            max_tail_records=2,
         )
         sid = manager.create("small", session_id="m2", seed=1)
         for i in range(4):

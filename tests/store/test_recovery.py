@@ -7,9 +7,9 @@ from repro.core.session import ExplorationSession
 from repro.feedback import feedback_from_dict
 from repro.io import session_to_payload
 from repro.service.store import StoreError
+from repro.service.manager import SessionManager
 from repro.store.recovery import (
     load_session_state,
-    recover_session,
     replay_records,
     validate_recovery_policy,
     verify_store,
@@ -99,26 +99,36 @@ class TestLoadSessionState:
         store.close()
 
 
+def resume(store, small_data):
+    """Resume session ``s`` the way a restarted server does.
+
+    Returns the manager, its first view of the session and that view's
+    meta, and the replayed feedback labels.
+    """
+    manager = SessionManager({"small": small_data}, store=store, cache=None)
+    view, meta = manager.view("s")
+    labels = [
+        item["label"] for item in manager.session_stats("s")["feedback_log"]
+    ]
+    return manager, view, meta, labels
+
+
 class TestReplayParity:
     def test_recovered_session_matches_oracle(self, durable_store, small_data):
         seed_session(durable_store, small_data, batches=5, seed=11)
-        session, state = recover_session(
-            durable_store, "s", small_data, standardize=False, seed=11
-        )
+        manager, view, meta, labels = resume(durable_store, small_data)
         oracle = ExplorationSession(small_data, seed=11)
         for i in range(5):
             oracle.apply_many(
                 [feedback_from_dict(item) for item in make_batch(i)]
             )
-        assert state.replayed_batches == 5
-        assert [f.label for f in session.feedback_log] == [
-            f.label for f in oracle.feedback_log
-        ]
+        assert manager.stats()["replayed_batches"] == 5
+        assert labels == [f.label for f in oracle.feedback_log]
         np.testing.assert_array_equal(
-            session.current_view().axes, oracle.current_view().axes
+            view.axes, oracle.current_view().axes
         )
         # knowledge_nats needs a fit; current_view just performed one.
-        assert session.model.knowledge_nats() == pytest.approx(
+        assert meta["knowledge_nats"] == pytest.approx(
             oracle.model.knowledge_nats(), abs=0.0
         )
 
@@ -130,13 +140,9 @@ class TestReplayParity:
             )
         durable_store.append_feedback("s", [], kind="undo")
         oracle.undo_last_feedback()
-        session, state = recover_session(
-            durable_store, "s", small_data, standardize=False, seed=3
-        )
-        assert state.replayed_batches == 3
-        assert [f.label for f in session.feedback_log] == [
-            f.label for f in oracle.feedback_log
-        ]
+        manager, _, _, labels = resume(durable_store, small_data)
+        assert manager.stats()["replayed_batches"] == 3
+        assert labels == [f.label for f in oracle.feedback_log]
 
     def test_replay_rejects_unknown_kind(self, small_data):
         from repro.store.wal import WalRecord

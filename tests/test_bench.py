@@ -15,7 +15,8 @@ _TINY = {"structural": 3, "d": 4, "n": 64, "sweeps": 2, "repeats": 1}
 _TINY_PROJECTION = {"n": 48, "d": 3, "restarts": 2, "iterations": 4,
                     "repeats": 1}
 _TINY_OBS = {"structural": 3, "d": 4, "n": 64, "sweeps": 2, "solves": 1,
-             "repeats": 1, "merge_shards": 2, "history_samples": 3}
+             "repeats": 1, "pairs": 2, "merge_shards": 2,
+             "history_samples": 3}
 
 
 @pytest.fixture

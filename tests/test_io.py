@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.background import BackgroundModel
 from repro.core.constraint import Constraint, ConstraintKind
 from repro.core.session import ExplorationSession
 from repro.errors import DataShapeError
@@ -12,9 +11,7 @@ from repro.io import (
     constraint_from_dict,
     constraint_to_dict,
     data_fingerprint,
-    load_model_parameters,
     load_session,
-    save_model_parameters,
     save_session,
 )
 
@@ -223,42 +220,3 @@ class TestSessionRoundtrip:
         assert restored.model.n_constraints == session.model.n_constraints
         assert restored.feedback_groups == ()
         assert restored.undo_last_feedback() is None
-
-
-class TestModelParameterRoundtrip:
-    def test_roundtrip(self, two_cluster_data, tmp_path):
-        data, labels = two_cluster_data
-        model = BackgroundModel(data)
-        model.add_cluster_constraint(np.flatnonzero(labels == 0))
-        model.fit()
-        path = tmp_path / "params.npz"
-        save_model_parameters(model, path)
-
-        fresh = BackgroundModel(data)
-        fresh.add_cluster_constraint(np.flatnonzero(labels == 0))
-        load_model_parameters(fresh, path)
-        assert fresh.is_fitted
-        np.testing.assert_allclose(fresh.whiten(), model.whiten(), atol=1e-10)
-
-    def test_mismatched_constraints_rejected(self, two_cluster_data, tmp_path):
-        data, labels = two_cluster_data
-        model = BackgroundModel(data)
-        model.add_cluster_constraint(np.flatnonzero(labels == 0))
-        model.fit()
-        path = tmp_path / "params.npz"
-        save_model_parameters(model, path)
-
-        fresh = BackgroundModel(data)
-        fresh.add_cluster_constraint(np.flatnonzero(labels == 1))  # different
-        with pytest.raises(DataShapeError):
-            load_model_parameters(fresh, path)
-
-    def test_mismatched_data_rejected(self, two_cluster_data, rng, tmp_path):
-        data, labels = two_cluster_data
-        model = BackgroundModel(data)
-        model.fit()
-        path = tmp_path / "params.npz"
-        save_model_parameters(model, path)
-        fresh = BackgroundModel(rng.standard_normal(data.shape))
-        with pytest.raises(DataShapeError):
-            load_model_parameters(fresh, path)
