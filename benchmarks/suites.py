@@ -17,9 +17,9 @@ overhead ratios:
 * ``store`` — the durable tier: WAL append per backend x fsync policy,
   crash recovery, compaction, and the loadgen p99 view-latency overhead
   of serving with a durable store.  Writes ``BENCH_store.json``.
-* ``obs`` — the observability tier: 100 Hz sampling-profiler overhead
-  on the solver workload, time-series snapshot cost, and shard-snapshot
-  merge throughput.  Writes ``BENCH_obs.json``.
+* ``obs`` — the observability tier: the history recorder's per-tick
+  cost through a front door, and shard-snapshot merge throughput.
+  Writes ``BENCH_obs.json``.
 * ``resilience`` — overload behavior under 4x the admission limit
   (accepted-request p99 vs the interactivity budget, shed fast path)
   plus deadline-check and circuit-breaker hot-path overhead.  Writes
@@ -614,123 +614,61 @@ def _durability_overhead(root: Path, bundle, size: dict, seed: int) -> dict:
     }
 
 
-#: Acceptance bound on continuous-profiling overhead: with the sampling
-#: stack profiler running at ~100 Hz the solver workload must stay within
-#: this factor of its unprofiled wall clock (<10% regression).
-PROFILER_OVERHEAD_BOUND = 1.10
-
-#: Obs-suite workload sizes.  The solver workload is sized so the
-#: profiled run collects a meaningful number of 100 Hz samples while the
-#: quick mode stays in single-digit seconds; ``pairs`` interleaved
-#: unprofiled/profiled pairs feed the overhead ratio.
+#: Obs-suite workload sizes: ``history_samples`` recorder ticks per
+#: timed call, ``merge_shards`` snapshots folded per merge.
 OBS_SIZES = {
-    "quick": {"structural": 6, "d": 12, "n": 2048, "sweeps": 8, "solves": 4,
-              "repeats": 3, "pairs": 7, "merge_shards": 8,
-              "history_samples": 50},
-    "full": {"structural": 7, "d": 12, "n": 4096, "sweeps": 8, "solves": 4,
-             "repeats": 5, "pairs": 9, "merge_shards": 16,
-             "history_samples": 100},
+    "quick": {"repeats": 3, "merge_shards": 8, "history_samples": 50},
+    "full": {"repeats": 5, "merge_shards": 16, "history_samples": 100},
 }
 
 
 def run_obs_suite(quick: bool = True, seed: int = 0) -> dict:
-    """Time the observability tier: profiler overhead, history, merge.
+    """Time the observability tier: history sampling and snapshot merge.
 
-    Three measurements, written to ``BENCH_obs.json``:
+    Two measurements, written to ``BENCH_obs.json``:
 
-    * **profiler overhead** — the fixed-sweep solver workload, unprofiled
-      vs with :class:`repro.obs.StackProfiler` sampling at ~100 Hz, in
-      ``pairs`` interleaved pairs that alternate which side runs first
-      (the design of :func:`_durability_overhead`); the median of the
-      per-pair wall-clock ratios is exported as the timing key
-      ``profiler_overhead_ratio`` (baselines gate it like any metric) and
-      must stay under :data:`PROFILER_OVERHEAD_BOUND`;
-    * **history sampling** — seconds to take N time-series snapshots of a
-      populated :class:`~repro.obs.MetricsRegistry` (the recorder
-      thread's per-tick cost);
-    * **snapshot merge** — fold S shard snapshots into one aggregator
-      registry via :meth:`~repro.obs.MetricsRegistry.merge`.
+    * **history sampling** — seconds to take N time-series samples
+      through a single-process front door's
+      :meth:`~repro.service.api.ServiceAPI.metrics_registry` (the
+      process registry, populated with request observations, its gauges
+      refreshed from the manager): the recorder thread's per-tick cost;
+    * **snapshot merge** — fold S shard snapshots of that registry into
+      one aggregator registry via
+      :meth:`~repro.obs.MetricsRegistry.merge`, as the sharded door does
+      for its workers on every scrape and tick.
     """
-    from repro.obs.metrics import (
-        DEFAULT_LATENCY_BUCKETS,
-        MetricsRegistry,
-    )
-    from repro.obs.profile import StackProfiler
+    from repro import obs
+    from repro.obs.metrics import MetricsRegistry
     from repro.obs.timeseries import TimeSeriesRecorder
+    from repro.service.api import ServiceAPI
+    from repro.service.manager import SessionManager
 
     size = OBS_SIZES["quick" if quick else "full"]
     repeats = size["repeats"]
-    data, constraints = many_class_workload(
-        size["structural"], size["d"], size["n"], seed=seed
-    )
-    # Sentinel negative tolerances force exactly `sweeps` sweeps so both
-    # sides of the overhead ratio do identical work.
-    forced = SolverOptions(
-        lambda_tolerance=-1.0,
-        drift_tolerance_factor=-1.0,
-        time_cutoff=None,
-        max_sweeps=size["sweeps"],
-    )
+    state = obs.configure()
+    try:
+        rng = np.random.default_rng(seed)
+        for route in ("GET /v1/sessions/{id}/view", "POST /v1/sessions"):
+            method = route.split(" ", 1)[0]
+            for value in rng.uniform(0.001, 0.5, size=256):
+                state.observe_request(method, route, 200, float(value),
+                                      route=route)
+        door = ServiceAPI(SessionManager({}))
+        recorder = TimeSeriesRecorder(
+            door.metrics_registry, interval=3600.0, capacity=4096
+        )
 
-    def solve() -> None:
-        # Several back-to-back solves per timed call: long enough on the
-        # clock (~100 ms+) that the 100 Hz sampler lands a stable number
-        # of ticks and the overhead ratio is signal, not jitter.
-        for _ in range(size["solves"]):
-            solve_maxent(data, constraints, options=forced)
+        def take_samples() -> None:
+            for _ in range(size["history_samples"]):
+                recorder.sample()
 
-    solve()  # warm-up: first-call numpy/solver costs off the clock
-    profiler = StackProfiler(interval=0.01)
-
-    def profiled_solve() -> float:
-        profiler.start()
-        try:
-            return _best_of(1, solve)
-        finally:
-            profiler.stop()
-
-    # Timed once per run, best of `repeats` per side, the ratio read
-    # 1.12-1.24 in 3 of 7 full quick runs and 0.79-1.08 run alone.
-    unprofiled, profiled = _interleaved_pairs(
-        size["pairs"], lambda _: _best_of(1, solve), lambda _: profiled_solve()
-    )
-    ratios = [p / max(u, 1e-9) for u, p in zip(unprofiled, profiled)]
-    unprofiled_s = float(np.median(unprofiled))
-    profiled_s = float(np.median(profiled))
-    ratio = float(np.median(ratios))
-
-    # -- history sampling: recorder-tick cost on a populated registry ----
-    registry = MetricsRegistry()
-    hist = registry.histogram(
-        "repro_request_duration_seconds", "Request latency.",
-        labelnames=("route", "status"), buckets=DEFAULT_LATENCY_BUCKETS,
-    )
-    counter = registry.counter(
-        "repro_requests_total", "Requests.", labelnames=("route", "status")
-    )
-    rng = np.random.default_rng(seed)
-    for route in ("GET /v1/sessions/{id}/view", "POST /v1/sessions"):
-        for value in rng.uniform(0.001, 0.5, size=256):
-            hist.labels(route=route, status="200").observe(float(value))
-            counter.labels(route=route, status="200").inc()
-    recorder = TimeSeriesRecorder(registry, interval=3600.0, capacity=4096)
-
-    def take_samples() -> None:
-        for _ in range(size["history_samples"]):
-            recorder.sample()
-
-    timings = {
-        "solve_unprofiled_s": unprofiled_s,
-        "solve_profiled_s": profiled_s,
-        "profiler_overhead_ratio": ratio,
-        "history_sample_s": _best_of(repeats, take_samples),
-    }
-
-    # -- snapshot merge: S shards folded into one aggregator ------------
-    snapshots = [
-        registry.to_snapshot(source=f"shard-{i}")
-        for i in range(size["merge_shards"])
-    ]
+        timings = {"history_sample_s": _best_of(repeats, take_samples)}
+        snapshots = [
+            state.metrics.to_snapshot(source=f"shard-{i}")
+            for i in range(size["merge_shards"])
+        ]
+    finally:
+        obs.disable()
 
     def merge_shards() -> None:
         aggregate = MetricsRegistry()
@@ -744,29 +682,12 @@ def run_obs_suite(quick: bool = True, seed: int = 0) -> dict:
         "suite": "obs",
         "mode": "quick" if quick else "full",
         "workload": {
-            "structural": size["structural"],
-            "d": size["d"],
-            "n": size["n"],
-            "sweeps": size["sweeps"],
-            "solves": size["solves"],
             "repeats": repeats,
-            "pairs": size["pairs"],
             "merge_shards": size["merge_shards"],
             "history_samples": size["history_samples"],
             "seed": seed,
         },
         "timings": timings,
-        "profiling": {
-            "solve_unprofiled_s": round(unprofiled_s, 6),
-            "solve_profiled_s": round(profiled_s, 6),
-            "pair_ratios": [round(r, 4) for r in ratios],
-            "ratio": round(ratio, 4),
-            "bound": PROFILER_OVERHEAD_BOUND,
-            "within_bound": ratio <= PROFILER_OVERHEAD_BOUND,
-            "hz": round(1.0 / profiler.interval, 1),
-            "samples": profiler.samples,
-            "unique_stacks": len(profiler.stacks()),
-        },
     }
 
 
@@ -1186,16 +1107,6 @@ def format_payload(payload: dict) -> str:
             f"(sqlite, fsync=batch), ratio {durability['ratio']:g} "
             f"(bound {durability['bound']:g}, "
             f"{'OK' if durability['within_bound'] else 'EXCEEDED'})"
-        )
-    profiling = payload.get("profiling")
-    if profiling:
-        lines.append(
-            "  profiling: solve "
-            f"{profiling['solve_unprofiled_s']:.4f}s -> "
-            f"{profiling['solve_profiled_s']:.4f}s @ {profiling['hz']:g} Hz "
-            f"({profiling['samples']} samples), "
-            f"ratio {profiling['ratio']:g} (bound {profiling['bound']:g}, "
-            f"{'OK' if profiling['within_bound'] else 'EXCEEDED'})"
         )
     return "\n".join(lines)
 

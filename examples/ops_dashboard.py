@@ -1,7 +1,7 @@
-"""Walkthrough: the obs v2 operations loop — history, SLOs, profiler, top.
+"""Walkthrough: the obs v2 operations loop — history, SLOs, top.
 
 Runs a live server with the full observability stack on, drives traffic
-at it, and then walks the four surfaces an operator actually uses:
+at it, and then walks the three surfaces an operator actually uses:
 
 1. **metrics history** — ``GET /v1/metrics/history`` returns the ring
    buffer the in-process recorder filled during the run, with rates and
@@ -10,9 +10,7 @@ at it, and then walks the four surfaces an operator actually uses:
    interactivity budget; the same samples are then re-graded against a
    deliberately impossible budget to show what ``violating`` looks like
    (this is what ``repro slo check`` exits nonzero on);
-3. **continuous profiling** — the ~100 Hz sampling profiler's collapsed
-   stacks (flamegraph input) fetched from ``GET /v1/profile``;
-4. **the dashboard** — one plain-text ``repro top`` frame rendered from
+3. **the dashboard** — one plain-text ``repro top`` frame rendered from
    two scrapes, plus a shard-merge demo: two registries merged into the
    fleet-wide view ``repro top`` would show behind a load balancer.
 
@@ -53,16 +51,17 @@ def drive_traffic(client: ServiceClient, rounds: int = 6) -> None:
 
 
 def main() -> None:
-    # slos=True switches on the whole v2 stack: the history recorder
-    # (0.2 s cadence here so a short example fills the buffer), the SLO
-    # engine behind /v1/health, and the extended endpoints.
-    state = obs.configure(slos=True, history_interval=0.2)
-    obs.start_profiler(interval=0.01)  # 100 Hz, like `repro serve --profile`
-
+    # enable_slos switches on the whole v2 stack over the door's
+    # registry, as `repro serve --obs` does: the history recorder (0.2 s
+    # cadence here so a short example fills the buffer), the SLO engine
+    # behind /v1/health, and the extended endpoints.
+    state = obs.configure()
     bundle = x5(seed=0)
-    server = start_background(ServiceAPI(SessionManager({"x5": bundle.data})))
+    door = ServiceAPI(SessionManager({"x5": bundle.data}))
+    state.enable_slos(door.metrics_registry, history_interval=0.2)
+    server = start_background(door)
     client = ServiceClient(server.base_url)
-    print(f"server up on {server.base_url} (obs v2 + profiler on)")
+    print(f"server up on {server.base_url} (obs v2 on)")
 
     drive_traffic(client)
     time.sleep(0.5)  # let the recorder take post-traffic samples
@@ -103,16 +102,7 @@ def main() -> None:
     print(f"  ...with a 1 ms budget the report flips to "
           f"'{broken['status']}' ({', '.join(names)})")
 
-    # --- 3. continuous profiling ---------------------------------------
-    profile = client.profile()
-    print(f"\nprofiler: {profile['samples']} samples, "
-          f"{profile['unique_stacks']} unique stacks; hottest:")
-    for line in client.profile_text().splitlines()[:3]:
-        stack, _, count = line.rpartition(" ")
-        leaf = stack.split(";")[-1]
-        print(f"  {count:>4}x ...;{leaf}")
-
-    # --- 4. one `repro top` frame, then the shard-merge view -----------
+    # --- 3. one `repro top` frame, then the shard-merge view -----------
     dash = Dashboard(color=False)
     dash.add(client.metrics()["families"], client.health())
     drive_traffic(client, rounds=2)
@@ -145,7 +135,6 @@ def main() -> None:
           f"sessions per shard: {gauges} (gauges stay labeled)")
 
     server.stop()
-    obs.stop_profiler()
     obs.disable()
 
 

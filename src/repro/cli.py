@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write structured request events to this JSONL file "
-        "(implies --obs)",
+        "(implies --obs); with --workers N, worker i writes PATH.worker<i>",
     )
     serve.add_argument(
         "--slow-ms",
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="MB",
-        help="rotate the --obs-log event file once it reaches this size "
+        help="rotate each --obs-log event file once it reaches this size "
         "(numeric .N suffixes; repro trace spans rotations)",
     )
     serve.add_argument(
@@ -362,19 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="with --obs: p99 view-latency SLO ceiling (default: the "
         "paper's interactivity budget)",
-    )
-    serve.add_argument(
-        "--profile",
-        action="store_true",
-        help="start the sampling stack profiler (collapsed stacks at "
-        "/v1/profile; slow requests carry a profile excerpt)",
-    )
-    serve.add_argument(
-        "--profile-hz",
-        type=float,
-        default=100.0,
-        metavar="HZ",
-        help="profiler sampling rate (default: 100)",
     )
     serve.add_argument(
         "--default-deadline-ms",
@@ -856,20 +843,6 @@ def cmd_loadgen(
     return 0 if report.totals["sessions_failed"] == 0 else 1
 
 
-#: ``repro serve`` options that set up the process running the requests
-#: beyond what a :class:`~repro.service.worker.WorkerConfig` carries.
-#: With ``--workers N`` the workers run the requests, so these options
-#: are refused rather than silently ignored.
-_SINGLE_PROCESS_OPTIONS = (
-    "profile",
-    "profile_hz",
-    "obs_rotate_mb",
-    "history_interval",
-    "history_capacity",
-    "view_p99_budget",
-)
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: one front door, over this process or N workers."""
     import os
@@ -890,19 +863,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
-    defaults = build_parser().parse_args(["serve"])
-    given = [
-        "--" + option.replace("_", "-")
-        for option in _SINGLE_PROCESS_OPTIONS
-        if getattr(args, option) != getattr(defaults, option)
-    ]
-    if args.workers > 1 and given:
-        print(
-            f"{', '.join(given)}: single-process only, not supported "
-            f"with --workers {args.workers}",
-            file=sys.stderr,
-        )
-        return 2
     try:
         drain_budget = drain_budget_seconds(
             DEFAULT_DRAIN_BUDGET if args.drain_budget is None else args.drain_budget
@@ -920,6 +880,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return 2
 
     obs_enabled = args.obs or args.obs_log is not None
+    obs_log_max_bytes = (
+        int(args.obs_rotate_mb * 1024 * 1024)
+        if args.obs_rotate_mb and args.obs_log else None
+    )
     config = WorkerConfig(
         store_url=args.store,
         fsync=args.fsync,
@@ -930,40 +894,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         default_deadline_ms=args.default_deadline_ms,
         obs=obs_enabled,
         obs_log=args.obs_log,
+        obs_log_max_bytes=obs_log_max_bytes,
         slow_ms=args.slow_ms,
     )
     admission = AdmissionController(max_inflight=args.max_inflight)
     runtime = None
     if args.workers == 1:
-        # This process runs the requests, so it gets their whole set-up.
-        if obs_enabled:
-            from repro.obs.slo import default_slos
-
-            obs.configure(
-                event_log=args.obs_log,
-                slow_ms=args.slow_ms,
-                event_log_max_bytes=(
-                    int(args.obs_rotate_mb * 1024 * 1024)
-                    if args.obs_rotate_mb and args.obs_log else None
-                ),
-                slos=default_slos(**(
-                    {"view_p99_budget": args.view_p99_budget}
-                    if args.view_p99_budget is not None else {}
-                )),
-                history_interval=args.history_interval,
-                history_capacity=args.history_capacity,
-            )
-            print(
-                "observability: tracing on, metrics at /v1/metrics, history "
-                "at /v1/metrics/history, SLOs in /v1/health"
-                + (f", events -> {args.obs_log}" if args.obs_log else "")
-            )
-        if args.profile:
-            obs.start_profiler(interval=1.0 / args.profile_hz)
-            print(
-                f"profiler: sampling at {args.profile_hz:g} Hz, collapsed "
-                "stacks at /v1/profile"
-            )
         chaos_registry = chaos.configure_from_env(os.environ)
         if chaos_registry is not None:
             print(
@@ -975,9 +911,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
     else:
         # The workers run the requests and set themselves up from the
-        # config (worker_main); this process only counts what it sheds.
-        if obs_enabled:
-            obs.configure(slow_ms=args.slow_ms)
+        # config (worker_main).
         # Worker sockets and the default L2 cache; removed once the
         # workers have stopped.
         runtime = tempfile.TemporaryDirectory(prefix="repro-shard-")
@@ -1009,6 +943,29 @@ def cmd_serve(args: argparse.Namespace) -> int:
             runtime.cleanup()
             print(f"failed to start worker pool: {exc}", file=sys.stderr)
             return 2
+    if obs_enabled:
+        # One set-up for both shapes: /v1/metrics, the history and the
+        # SLO report in /v1/health all read the door's registry.
+        from repro.obs.slo import default_slos
+
+        obs.configure(
+            event_log=args.obs_log,
+            slow_ms=args.slow_ms,
+            event_log_max_bytes=obs_log_max_bytes,
+        ).enable_slos(
+            door.metrics_registry,
+            slos=default_slos(**(
+                {"view_p99_budget": args.view_p99_budget}
+                if args.view_p99_budget is not None else {}
+            )),
+            history_interval=args.history_interval,
+            history_capacity=args.history_capacity,
+        )
+        print(
+            "observability: tracing on, metrics at /v1/metrics, history "
+            "at /v1/metrics/history, SLOs in /v1/health"
+            + (f", events -> {args.obs_log}" if args.obs_log else "")
+        )
 
     server = ReproServer(door, host=args.host, port=args.port, quiet=False)
     print(f"repro service on http://{args.host}:{server.server_address[1]}")

@@ -34,6 +34,7 @@ from __future__ import annotations
 import os
 import re
 import time
+from typing import Callable
 
 from repro import perf
 from repro.obs import trace as trace_module
@@ -48,7 +49,6 @@ from repro.obs.metrics import (
     histogram_quantile,
     parse_prometheus,
 )
-from repro.obs.profile import StackProfiler
 from repro.obs.slo import SLO, SLOEngine, default_slos
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.obs.trace import Trace, accept_trace_id, new_trace_id
@@ -59,7 +59,6 @@ __all__ = [
     "Observability",
     "SLO",
     "SLOEngine",
-    "StackProfiler",
     "TimeSeriesRecorder",
     "Trace",
     "accept_trace_id",
@@ -72,11 +71,8 @@ __all__ = [
     "is_enabled",
     "new_trace_id",
     "parse_prometheus",
-    "profiler",
     "read_events",
     "route_template",
-    "start_profiler",
-    "stop_profiler",
     "trace_module",
 ]
 
@@ -218,39 +214,27 @@ class Observability:
     # Retention + objectives (obs v2)
     # ------------------------------------------------------------------
 
-    def enable_history(
-        self, interval: float = 1.0, capacity: int = 600
-    ) -> TimeSeriesRecorder:
-        """Start (or return) the ring-buffer metrics recorder."""
-        if self.history is None:
-            self.history = TimeSeriesRecorder(
-                self.metrics, interval=interval, capacity=capacity
-            )
-        self.history.start()
-        return self.history
-
     def enable_slos(
         self,
+        source: Callable[[], MetricsRegistry],
         slos=None,
-        short_window: float | None = None,
-        long_window: float | None = None,
         history_interval: float = 1.0,
         history_capacity: int = 600,
     ) -> SLOEngine:
-        """Attach an SLO engine (implies history retention).
+        """Record ``source()`` into the history ring buffer and grade SLOs.
 
-        ``slos`` is a sequence of :class:`~repro.obs.slo.SLO`; ``None``
-        installs :func:`~repro.obs.slo.default_slos`.
+        ``source`` returns the registry the service's front door exports
+        (:meth:`repro.service.api.ServiceAPI.metrics_registry`), so
+        ``/v1/metrics``, ``/v1/metrics/history`` and the SLO report read
+        the same numbers.  ``slos`` is a sequence of
+        :class:`~repro.obs.slo.SLO`; ``None`` installs
+        :func:`~repro.obs.slo.default_slos`.
         """
-        recorder = self.enable_history(
-            interval=history_interval, capacity=history_capacity
+        self.history = TimeSeriesRecorder(
+            source, interval=history_interval, capacity=history_capacity
         )
-        kwargs = {}
-        if short_window is not None:
-            kwargs["short_window"] = short_window
-        if long_window is not None:
-            kwargs["long_window"] = long_window
-        self.slo = SLOEngine(recorder, slos=slos, **kwargs)
+        self.history.start()
+        self.slo = SLOEngine(self.history, slos=slos)
         return self.slo
 
     def slo_report(self) -> dict | None:
@@ -279,7 +263,6 @@ class Observability:
         trace_id: str | None = None,
         error: str | None = None,
         error_kind: str | None = None,
-        started: float | None = None,
     ) -> None:
         """Record one finished request: metrics always, one event if a
         sink is configured (typed ``error`` event for 4xx/5xx)."""
@@ -328,16 +311,6 @@ class Observability:
                 # Promote full per-span detail for the requests worth
                 # staring at; routine fast requests stay one line.
                 event["span_detail"] = trace.span_events()
-        if slow:
-            # Slow-request exemplar: if the sampling profiler is running,
-            # attach its recent stacks for this handler thread, scoped to
-            # the request's own lifetime — "p99 regressed" arrives with
-            # the offending code path, not just a duration.
-            prof = _profiler
-            if prof is not None and prof.running:
-                excerpt = prof.excerpt(since=started)
-                if excerpt:
-                    event["profile"] = excerpt
         self.events.emit(event)
 
     def update_service_gauges(self, manager) -> None:
@@ -404,24 +377,16 @@ def configure(
     event_log: str | EventLog | None = None,
     slow_ms: float = 500.0,
     event_log_max_bytes: int | None = None,
-    history: bool = False,
-    history_interval: float = 1.0,
-    history_capacity: int = 600,
-    slos=None,
-    slo_short_window: float | None = None,
-    slo_long_window: float | None = None,
 ) -> Observability:
     """Enable observability process-wide; returns the installed state.
 
     ``event_log`` may be a path (opened append-mode) or a pre-built
     :class:`EventLog`; ``None`` records metrics and traces without a
     JSONL sink.  ``event_log_max_bytes`` bounds a path-backed log via
-    size rotation.  ``history=True`` starts the ring-buffer metrics
-    recorder (``/v1/metrics/history``); ``slos`` attaches the SLO engine
-    (``True`` for :func:`~repro.obs.slo.default_slos`, or an explicit
-    sequence of :class:`~repro.obs.slo.SLO`) and implies history.
-    Reconfiguring replaces the previous state (its event
-    log is closed if it was opened here; its recorder is stopped).
+    size rotation.  History and SLOs are switched on afterwards, once
+    the front door exists, with :meth:`Observability.enable_slos`.
+    Reconfiguring replaces the previous state (its event log is closed
+    if it was opened here; its recorder is stopped).
     """
     global _active
     previous = _active
@@ -431,18 +396,6 @@ def configure(
         else event_log
     )
     state = Observability(events=events, slow_ms=slow_ms)
-    if slos is not None and slos is not False:
-        state.enable_slos(
-            slos=None if slos is True else slos,
-            short_window=slo_short_window,
-            long_window=slo_long_window,
-            history_interval=history_interval,
-            history_capacity=history_capacity,
-        )
-    elif history:
-        state.enable_history(
-            interval=history_interval, capacity=history_capacity
-        )
     _active = state
     perf.observer = state
     if previous is not None:
@@ -530,64 +483,15 @@ class _RequestEnvelope:
             trace_id=self.trace_id,
             error=self.error,
             error_kind=self.error_kind,
-            started=self.started,
         )
         return None
 
 
-# ----------------------------------------------------------------------
-# Continuous profiler (process-wide, decoupled from the obs switch)
-# ----------------------------------------------------------------------
-
-_profiler: StackProfiler | None = None
-
-
-def profiler() -> StackProfiler | None:
-    """The process profiler, or ``None`` if never started."""
-    return _profiler
-
-
-def start_profiler(
-    interval: float | None = None,
-) -> StackProfiler:
-    """Start (or resume) the process-wide sampling profiler.
-
-    ``interval`` seconds between samples (default ~100 Hz).  Idempotent;
-    changing the interval while stopped replaces the profiler (and its
-    accumulated stacks).
-    """
-    global _profiler
-    from repro.obs import profile as profile_module
-
-    if interval is None:
-        interval = profile_module.DEFAULT_INTERVAL
-    prof = _profiler
-    if prof is None or (not prof.running and prof.interval != interval):
-        prof = StackProfiler(interval=interval)
-        _profiler = prof
-    prof.start()
-    return prof
-
-
-def stop_profiler() -> StackProfiler | None:
-    """Stop sampling; the collected stacks stay readable."""
-    prof = _profiler
-    if prof is not None:
-        prof.stop()
-    return prof
-
-
 # Environment switch, read once at import: REPRO_OBS=1 enables the layer,
 # REPRO_OBS_LOG both enables it and attaches the JSONL sink.
-# REPRO_PROF=1 independently starts the sampling profiler
-# (REPRO_PROF_HZ overrides the ~100 Hz default rate).
 _env_log = os.environ.get("REPRO_OBS_LOG", "")
 if os.environ.get("REPRO_OBS", "") == "1" or _env_log:
     configure(
         event_log=_env_log or None,
         slow_ms=float(os.environ.get("REPRO_OBS_SLOW_MS", "500")),
-    )
-if os.environ.get("REPRO_PROF", "") == "1":
-    start_profiler(
-        interval=1.0 / float(os.environ.get("REPRO_PROF_HZ", "100"))
     )

@@ -266,10 +266,11 @@ def default_slos(
 class SLOEngine:
     """Evaluates a set of objectives against retained samples.
 
-    Per objective: the *long* window breached → ``violating``; only the
-    *short* window breached → ``degraded``; neither (or no data) →
-    ``ok`` / ``no_data``.  The overall status is the worst per-objective
-    status, mapped onto the health vocabulary ``ready`` / ``degraded`` /
+    Per objective: the *long* window (:data:`LONG_WINDOW`) breached →
+    ``violating``; only the *short* window (:data:`SHORT_WINDOW`)
+    breached → ``degraded``; neither (or no data) → ``ok`` /
+    ``no_data``.  The overall status is the worst per-objective status,
+    mapped onto the health vocabulary ``ready`` / ``degraded`` /
     ``violating``.
     """
 
@@ -277,21 +278,12 @@ class SLOEngine:
         self,
         recorder: TimeSeriesRecorder,
         slos: Sequence[SLO] | None = None,
-        short_window: float = SHORT_WINDOW,
-        long_window: float = LONG_WINDOW,
     ) -> None:
         self.recorder = recorder
         self.slos = tuple(slos if slos is not None else default_slos())
-        self.short_window = float(short_window)
-        self.long_window = float(long_window)
 
     def report(self) -> dict:
-        return evaluate_samples(
-            self.recorder.window(),
-            self.slos,
-            short_window=self.short_window,
-            long_window=self.long_window,
-        )
+        return evaluate_samples(self.recorder.window(), self.slos)
 
 
 def _window_pair(

@@ -3,10 +3,11 @@
 A one-shot ``/v1/metrics`` scrape answers "what has happened since the
 process started"; it cannot answer "is p99 view latency inside the
 paper's interactivity budget *right now*".  This module adds the
-retention layer: a :class:`TimeSeriesRecorder` daemon thread snapshots a
-:class:`~repro.obs.metrics.MetricsRegistry` at a fixed cadence into a
-bounded ring buffer, and the derivation helpers turn any pair of
-snapshots into the quantities operators actually read —
+retention layer: a :class:`TimeSeriesRecorder` daemon thread snapshots
+the registry a source returns — the front door's, which in sharded mode
+merges every worker's — at a fixed cadence into a bounded ring buffer,
+and the derivation helpers turn any pair of snapshots into the
+quantities operators actually read —
 
 * counters   → rates per second over the window (:func:`counter_delta`);
 * histograms → *windowed* quantiles, i.e. the p99 of the last N seconds
@@ -57,8 +58,9 @@ def _match(labels: Mapping[str, str], where: Mapping[str, str] | None) -> bool:
 class TimeSeriesRecorder:
     """Ring buffer of registry snapshots, filled by a daemon thread.
 
-    Each sample is ``{"ts": wall_clock, "mono": monotonic_clock,
-    "families": registry.render_json()}``; the monotonic stamp is what
+    ``source`` is called once per sample and returns the registry to
+    record.  Each sample is ``{"ts": wall_clock, "mono": monotonic_clock,
+    "families": source().render_json()}``; the monotonic stamp is what
     rate/derivation math uses, the wall stamp is for display.  The
     buffer is bounded (``capacity`` samples), so a week-long soak holds
     the same memory as a ten-minute one.
@@ -66,7 +68,7 @@ class TimeSeriesRecorder:
 
     def __init__(
         self,
-        registry: MetricsRegistry,
+        source: Callable[[], MetricsRegistry],
         interval: float = DEFAULT_INTERVAL,
         capacity: int = DEFAULT_CAPACITY,
     ) -> None:
@@ -74,7 +76,7 @@ class TimeSeriesRecorder:
             raise ValueError(f"interval must be positive, got {interval}")
         if capacity < 2:
             raise ValueError(f"capacity must be >= 2, got {capacity}")
-        self.registry = registry
+        self.source = source
         self.interval = float(interval)
         self.capacity = int(capacity)
         self._samples: deque[dict] = deque(maxlen=self.capacity)
@@ -93,7 +95,7 @@ class TimeSeriesRecorder:
         entry = {
             "ts": time.time(),
             "mono": time.perf_counter(),
-            "families": self.registry.render_json(),
+            "families": self.source().render_json(),
         }
         with self._lock:
             self._samples.append(entry)

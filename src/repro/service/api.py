@@ -25,7 +25,6 @@ GET         /v1/objectives                        registered view objectives
 GET         /v1/stats                             manager + solve-cache statistics
 GET         /v1/metrics                           Prometheus metrics (see below)
 GET         /v1/metrics/history                   retained metrics time-series
-GET         /v1/profile                           collapsed-stack profile
 POST        /v1/admin/drain                       begin graceful drain (202)
 GET         /v1/sessions                          list sessions (live + stored)
 POST        /v1/sessions                          create a session
@@ -42,20 +41,20 @@ POST        /v1/sessions/{id}/checkpoint          persist to the session store
 timings while profiling is off), so clients never have to sniff for a
 missing field.
 
-``GET /v1/metrics`` serves the :mod:`repro.obs` metrics registry in
-Prometheus text exposition format (``?format=json`` for the same data as
-JSON).  While observability is disabled the route still answers 200 with
-an empty exposition / ``{"enabled": false}`` so scrapers do not flap.
+``GET /v1/metrics`` serves the front door's registry
+(:meth:`ServiceAPI.metrics_registry`; in sharded mode the merge of every
+worker's) in Prometheus text exposition format (``?format=json`` for the
+same data as JSON).  While observability is disabled the route still
+answers 200 with an empty exposition / ``{"enabled": false}`` so
+scrapers do not flap.
 
 ``GET /v1/metrics/history`` serves the ring-buffer time-series the
-recorder retains (``?seconds=N`` trims the window, ``?derive=0`` skips
-the server-side rate/quantile summary); it answers 200 with
-``{"enabled": false}`` while retention is off.  ``GET /v1/profile``
-serves the sampling profiler's collapsed-stack text (``?format=json``
-for the raw table + stats) — flamegraph tooling can point straight at a
-live server.  ``GET /v1/health`` stays exactly ``{"status": "ok"}``
-unless the SLO engine is on, in which case it carries the full SLO
-report (``status`` becomes ``ready``/``degraded``/``violating``).
+recorder retains of that same registry (``?seconds=N`` trims the
+window, ``?derive=0`` skips the server-side rate/quantile summary); it
+answers 200 with ``{"enabled": false}`` while retention is off.
+``GET /v1/health`` stays exactly ``{"status": "ok"}`` unless the SLO
+engine is on, in which case it carries the full SLO report graded on
+that history (``status`` becomes ``ready``/``degraded``/``violating``).
 
 Observability: when :mod:`repro.obs` is enabled, every dispatch in the
 process that runs the request (``records_requests``; not the router)
@@ -134,7 +133,6 @@ _EXEMPT_PATHS = frozenset(
         "/health",
         "/metrics",
         "/metrics/history",
-        "/profile",
         "/stats",
         "/workers",
         "/admin/drain",
@@ -160,12 +158,6 @@ class TextResponse(str):
     """
 
     content_type = "text/plain; version=0.0.4; charset=utf-8"
-
-
-class PlainTextResponse(TextResponse):
-    """Plain-text body without the Prometheus exposition version tag."""
-
-    content_type = "text/plain; charset=utf-8"
 
 
 def view_to_dict(
@@ -448,7 +440,6 @@ class ServiceAPI:
             "/stats": {"GET": self._stats},
             "/metrics": {"GET": self._metrics},
             "/metrics/history": {"GET": self._metrics_history},
-            "/profile": {"GET": self._profile},
             "/admin/drain": {"POST": self._admin_drain},
             "/sessions": {
                 "GET": self._list_sessions,
@@ -568,6 +559,20 @@ class ServiceAPI:
             "budget_seconds": budget,
         }
 
+    def metrics_registry(self):
+        """The registry this door exports, or ``None`` while obs is off.
+
+        ``/v1/metrics`` renders it and the history recorder samples it.
+        Here it is the process's own registry with the scrape-time gauges
+        refreshed from the manager; the sharded
+        :class:`~repro.service.router.Router` merges its workers'.
+        """
+        state = obs.active()
+        if state is None:
+            return None
+        state.update_service_gauges(self.manager)
+        return state.metrics
+
     def _metrics(self, body: dict, query: dict) -> tuple[int, dict]:
         """Metrics scrape: Prometheus text by default, ``?format=json``.
 
@@ -576,15 +581,14 @@ class ServiceAPI:
         the feature is toggled.
         """
         as_json = str(query.get("format", "")).lower() == "json"
-        state = obs.active()
-        if state is None:
+        registry = self.metrics_registry()
+        if registry is None:
             if as_json:
                 return 200, {"enabled": False, "families": {}}
             return 200, TextResponse("# repro observability disabled\n")
-        state.update_service_gauges(self.manager)
         if as_json:
-            return 200, {"enabled": True, "families": state.metrics.render_json()}
-        return 200, TextResponse(state.metrics.render_prometheus())
+            return 200, {"enabled": True, "families": registry.render_json()}
+        return 200, TextResponse(registry.render_prometheus())
 
     def _metrics_history(self, body: dict, query: dict) -> tuple[int, dict]:
         """Retained metrics time-series with server-side derivation.
@@ -600,7 +604,6 @@ class ServiceAPI:
             return 200, {"enabled": False, "samples": []}
         seconds = query.get("seconds")
         window = recorder.window(float(seconds) if seconds else None)
-        state.update_service_gauges(self.manager)
         payload: dict = {
             "enabled": True,
             "interval_seconds": recorder.interval,
@@ -614,24 +617,6 @@ class ServiceAPI:
                 ts.derive(window[0], window[-1]) if len(window) >= 2 else None
             )
         return 200, payload
-
-    def _profile(self, body: dict, query: dict) -> tuple[int, dict]:
-        """Collapsed-stack profile (text by default, ``?format=json``).
-
-        The text body feeds flamegraph renderers directly; the JSON form
-        carries ``{"stacks": {...}, ...stats}``.  Answers 200 with an
-        explicit disabled marker while the profiler is off.
-        """
-        as_json = str(query.get("format", "")).lower() == "json"
-        prof = obs.profiler()
-        if prof is None:
-            if as_json:
-                return 200, {"enabled": False, "samples": 0, "stacks": {}}
-            return 200, PlainTextResponse("# repro profiler disabled\n")
-        if as_json:
-            return 200, {"enabled": True, **prof.stats(),
-                         "stacks": prof.stacks()}
-        return 200, PlainTextResponse(prof.render_collapsed())
 
     def _list_sessions(self, body: dict, query: dict) -> tuple[int, dict]:
         return 200, {"sessions": self.manager.list_sessions()}

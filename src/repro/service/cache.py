@@ -51,6 +51,7 @@ from repro.core.equivalence import EquivalenceClasses
 from repro.core.parameters import ClassParameters
 from repro.core.solver import SolverOptions, SolverReport
 from repro.io import constraint_set_fingerprint, data_fingerprint
+from repro.store.sqlite import connect_wal
 
 
 @dataclass(frozen=True)
@@ -180,11 +181,7 @@ class L2SolveCache:
             return conn
         # After fork() the inherited handle must not be touched (not even
         # closed): drop the reference and open a fresh connection.
-        conn = sqlite3.connect(
-            self.path, timeout=5.0, isolation_level=None
-        )
-        conn.execute("PRAGMA busy_timeout = 5000")
-        conn.execute("PRAGMA journal_mode = WAL")
+        conn = connect_wal(self.path, busy_timeout_ms=5000)
         conn.execute("PRAGMA synchronous = NORMAL")
         conn.execute(
             "CREATE TABLE IF NOT EXISTS solves ("

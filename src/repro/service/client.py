@@ -390,14 +390,6 @@ class ServiceClient:
             path += f"?seconds={seconds:g}"
         return self._request("GET", path)
 
-    def profile_text(self) -> str:
-        """Collapsed-stack profile of the server (flamegraph input)."""
-        return self._request("GET", "/profile", decode_json=False)
-
-    def profile(self) -> dict:
-        """Profiler stats + raw stack table as JSON."""
-        return self._request("GET", "/profile?format=json")
-
     def list_sessions(self) -> list[dict]:
         """Summaries of live and checkpointed sessions."""
         return self._request("GET", "/sessions")["sessions"]

@@ -468,6 +468,11 @@ class SessionManager:
             seed=payload.get("seed", 0),
         )
         replay_records(session, state.records)
+        if state.warnings:
+            # The truncate policy dropped a damaged suffix; delete it
+            # before the session serves, so its next batch follows the
+            # replayed prefix instead of landing past the damage.
+            self.store.truncate_log(session_id, state.wal_seq)
         entry = _Entry(
             session_id,
             session,

@@ -26,10 +26,13 @@ the router adds is fleet-specific:
   only enabled over a shared store; without one, a dead worker's
   sessions are simply gone (as they would be in-process) and requests
   wait for the respawned replacement.
-* **telemetry merge** — ``GET /v1/metrics`` pulls each worker's
-  ``MetricsRegistry.to_snapshot(source="worker-i")`` and folds them with
-  the commutative :meth:`MetricsRegistry.merge`, so one scrape sees the
-  whole fleet; ``GET /v1/workers`` exposes the per-worker breakdown the
+* **telemetry merge** — :meth:`Router.metrics_registry` pulls each
+  worker's ``MetricsRegistry.to_snapshot(source="worker-i")`` and folds
+  them, with the router's own registry, by the commutative
+  :meth:`MetricsRegistry.merge`.  ``GET /v1/metrics``, the history
+  recorder behind ``GET /v1/metrics/history`` and the SLO report in
+  ``GET /v1/health`` all read that merge, so they grade the whole
+  fleet; ``GET /v1/workers`` exposes the per-worker breakdown the
   merged totals must sum to;
 * **the drain's last step** — :meth:`Router.checkpoint_all` asks every
   worker to checkpoint its sessions.
@@ -48,12 +51,7 @@ from repro import obs
 from repro.datasets import DATASETS
 from repro.resilience.admission import AdmissionController
 from repro.resilience.drain import DEFAULT_DRAIN_BUDGET
-from repro.service.api import (
-    _SESSION_PATH,
-    ServiceAPI,
-    TextResponse,
-    _request_ctx,
-)
+from repro.service.api import _SESSION_PATH, ServiceAPI, _request_ctx
 from repro.service.rpc import RpcClient, RpcConnectionClosed, RpcError
 from repro.service.store import validate_session_id
 from repro.service.worker import WorkerConfig, worker_main
@@ -372,8 +370,9 @@ class Router(ServiceAPI):
 
     It inherits version routing, 404/405, admission with its 503 shed
     replies, the error taxonomy, ``POST /v1/admin/drain`` and the drain
-    sequence.  Fleet routes (health, stats, metrics, workers, the session
-    list) are answered here; every other ``/v1`` request is forwarded to
+    sequence.  Fleet routes (health, stats, metrics and their history,
+    workers, the session list) are answered here; every other ``/v1``
+    request is forwarded to
     the session's sticky owner, or to any live worker.  Deadlines are
     enforced, and requests recorded, by the worker that runs them.
 
@@ -428,6 +427,7 @@ class Router(ServiceAPI):
             "/health": {"GET": self._health},
             "/stats": {"GET": self._stats},
             "/metrics": {"GET": self._metrics},
+            "/metrics/history": {"GET": self._metrics_history},
             "/workers": {"GET": self._workers_route},
             "/admin/drain": {"POST": self._admin_drain},
             "/sessions": {
@@ -575,15 +575,6 @@ class Router(ServiceAPI):
                 "error": reply.get("error", "worker error"),
                 "kind": "worker_error",
             }
-        if "text" in reply:
-            text = TextResponse(reply["text"])
-            # Mirror the worker's content type (plain vs Prometheus);
-            # TextResponse is a plain str subclass, so an instance
-            # attribute shadows the class default cleanly.
-            content_type = reply.get("content_type")
-            if content_type:
-                text.content_type = content_type
-            return int(reply["status"]), text
         return int(reply["status"]), reply.get("payload", {})
 
     # ------------------------------------------------------------------
@@ -591,18 +582,22 @@ class Router(ServiceAPI):
     # ------------------------------------------------------------------
 
     def _health(self, body: dict, query: dict) -> tuple[int, dict]:
+        """The SLO report (or ``ok``) plus the workers' liveness."""
+        status, payload = super()._health(body, query)
         live = self.pool.live_ids()
-        payload = {
-            "status": "ok" if live else "degraded",
-            "workers": {"alive": len(live), "total": self.pool.size},
-        }
-        return 200, payload
+        if not live and payload["status"] in ("ok", "ready"):
+            payload["status"] = "degraded"
+        payload["workers"] = {"alive": len(live), "total": self.pool.size}
+        return status, payload
 
-    def _metrics(self, body: dict, query: dict) -> tuple[int, dict]:
-        """Fleet-wide scrape: merge every worker's snapshot (PR 8)."""
+    def metrics_registry(self):
+        """Every live worker's snapshot merged with this process's own.
+
+        ``None`` when neither the workers nor this process have
+        observability on.
+        """
         from repro.obs.metrics import MetricsRegistry
 
-        as_json = str(query.get("format", "")).lower() == "json"
         merged = MetricsRegistry()
         enabled = False
         for worker in self.pool.workers():
@@ -621,13 +616,7 @@ class Router(ServiceAPI):
         if state is not None:
             enabled = True
             merged.merge(state.metrics.to_snapshot(), source="router")
-        if not enabled:
-            if as_json:
-                return 200, {"enabled": False, "families": {}}
-            return 200, TextResponse("# repro observability disabled\n")
-        if as_json:
-            return 200, {"enabled": True, "families": merged.render_json()}
-        return 200, TextResponse(merged.render_prometheus())
+        return merged if enabled else None
 
     def _worker_stats(self) -> list[dict]:
         stats = []

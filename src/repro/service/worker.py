@@ -65,6 +65,7 @@ class WorkerConfig:
     default_deadline_ms: float | None = None
     obs: bool = False
     obs_log: str | None = None
+    obs_log_max_bytes: int | None = None
     slow_ms: float = 500.0
 
 
@@ -168,16 +169,6 @@ class WorkerRuntime:
             deadline_ms=request.get("deadline_ms"),
             idempotency_key=request.get("idempotency_key"),
         )
-        content_type = getattr(payload, "content_type", None)
-        if content_type is not None:
-            # TextResponse (Prometheus/profile text): not JSON, so it
-            # rides as a tagged string and the router re-wraps it.
-            return {
-                "ok": True,
-                "status": status,
-                "text": str(payload),
-                "content_type": content_type,
-            }
         return {"ok": True, "status": status, "payload": payload}
 
     def _metrics_snapshot(self) -> dict | None:
@@ -214,7 +205,11 @@ def worker_main(config: WorkerConfig) -> None:
 
     chaos.configure_from_env(os.environ)
     if config.obs or config.obs_log:
-        obs.configure(event_log=config.obs_log, slow_ms=config.slow_ms)
+        obs.configure(
+            event_log=config.obs_log,
+            slow_ms=config.slow_ms,
+            event_log_max_bytes=config.obs_log_max_bytes,
+        )
     api = build_worker_api(config)
     runtime = WorkerRuntime(api, api.manager, worker_id=config.worker_id)
     runtime.serve_until_shutdown(config.socket_path)

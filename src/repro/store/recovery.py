@@ -16,8 +16,9 @@ The sequence of steps for one session:
    checksums (bit rot);
 3. apply the **corrupt-tail policy** to any damage: ``truncate`` keeps
    the valid prefix and reports what was dropped (the pragmatic default
-   for an interactive tool — old knowledge beats no knowledge), ``fail``
-   raises :class:`StoreError` so the operator decides;
+   for an interactive tool — old knowledge beats no knowledge; a resume
+   then deletes the dropped records, a ``verify`` only reports them),
+   ``fail`` raises :class:`StoreError` so the operator decides;
 4. rebuild the session from the checkpoint payload and replay the
    surviving records through the same ``apply_many`` / ``undo`` codepath
    a live server uses.

@@ -35,7 +35,7 @@ from repro.service.store import (
 )
 from repro.store.wal import WalRecord, validate_fsync_policy
 
-__all__ = ["SCHEMA_VERSION", "SQLiteStore"]
+__all__ = ["SCHEMA_VERSION", "SQLiteStore", "connect_wal"]
 
 #: The schema version (``PRAGMA user_version``) this code reads and writes.
 SCHEMA_VERSION = 1
@@ -66,6 +66,32 @@ _SCHEMA = (
 )
 
 _SYNCHRONOUS = {"always": "FULL", "batch": "NORMAL", "off": "OFF"}
+
+
+def connect_wal(path: str | Path, busy_timeout_ms: int) -> sqlite3.Connection:
+    """An autocommit connection to ``path`` in WAL journal mode.
+
+    The first switch of a new file to WAL needs an exclusive lock, and
+    SQLite answers a process that switches while another one does with
+    "database is locked" at once instead of through the busy timeout.
+    So the switch alone is retried while SQLite reports busy, until the
+    busy timeout has passed.
+    """
+    conn = sqlite3.connect(
+        path, timeout=busy_timeout_ms / 1000.0, isolation_level=None
+    )
+    deadline = time.monotonic() + busy_timeout_ms / 1000.0
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode = WAL")
+            return conn
+        except sqlite3.OperationalError as exc:
+            if "database is locked" not in str(exc) or (
+                time.monotonic() >= deadline
+            ):
+                conn.close()
+                raise
+        time.sleep(0.005)
 
 
 class SQLiteStore:
@@ -132,13 +158,7 @@ class SQLiteStore:
                 return conn
             self._local.conn = None  # forked: drop, never close
         try:
-            conn = sqlite3.connect(
-                self.path,
-                timeout=self.busy_timeout_ms / 1000.0,
-                isolation_level=None,  # autocommit; explicit BEGIN below
-            )
-            conn.execute(f"PRAGMA busy_timeout = {self.busy_timeout_ms}")
-            conn.execute("PRAGMA journal_mode = WAL")
+            conn = connect_wal(self.path, self.busy_timeout_ms)
             conn.execute(
                 f"PRAGMA synchronous = {_SYNCHRONOUS[self.fsync]}"
             )
@@ -326,6 +346,19 @@ class SQLiteStore:
         self._execute(
             "DELETE FROM wal WHERE session_id = ? AND seq = ?",
             (session_id, int(seq)),
+        )
+
+    def truncate_log(self, session_id: str, after_seq: int) -> None:
+        """Delete the session's records past ``after_seq``.
+
+        A truncating resume calls this for the damaged records it
+        dropped: left in place, they would put the next append past the
+        damage, and the next resume would drop that batch too.
+        """
+        validate_session_id(session_id)
+        self._execute(
+            "DELETE FROM wal WHERE session_id = ? AND seq > ?",
+            (session_id, int(after_seq)),
         )
 
     def feedback_tail(

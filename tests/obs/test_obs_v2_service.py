@@ -1,21 +1,22 @@
-"""Obs v2 through the service: history/profile endpoints, SLO health.
+"""Obs v2 through the service: the history endpoint, SLO health.
 
 Backward-compat contracts pinned here: ``/v1/health`` stays exactly
 ``{"status": "ok"}`` unless the SLO engine is explicitly enabled, and
-``/v1/metrics/history`` / ``/v1/profile`` answer 200 with a disabled
-marker rather than 404 when their subsystems are off (scrapers and
-dashboards must never flap on configuration).
+``/v1/metrics/history`` answers 200 with a disabled marker rather than
+404 when retention is off (scrapers and dashboards must never flap on
+configuration).  The recorder samples the door's registry, so a sample
+carries the scrape-time gauges without a scrape.
 """
 
 from __future__ import annotations
 
 import json
-import time
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.obs.timeseries import gauge_value
 from repro.service.api import ServiceAPI
 from repro.service.client import ServiceClient
 from repro.service.manager import SessionManager
@@ -32,7 +33,6 @@ def data():
 def _clean_obs():
     yield
     obs.disable()
-    obs.stop_profiler()
 
 
 def _api(data):
@@ -47,8 +47,9 @@ class TestHealthContract:
         )
 
     def test_slo_engine_extends_health(self, data):
-        state = obs.configure(slos=True)
+        state = obs.configure()
         api = _api(data)
+        state.enable_slos(api.metrics_registry)
         state.history.sample()
         status, payload = api.dispatch("GET", "/v1/health")
         assert status == 200
@@ -66,8 +67,9 @@ class TestMetricsHistory:
         assert payload == {"enabled": False, "samples": []}
 
     def test_enabled_serves_samples_and_derivation(self, data):
-        state = obs.configure(history=True, history_interval=3600.0)
+        state = obs.configure()
         api = _api(data)
+        state.enable_slos(api.metrics_registry, history_interval=3600.0)
         api.dispatch("GET", "/v1/datasets")
         state.history.sample()
         api.dispatch("GET", "/v1/datasets")
@@ -86,8 +88,9 @@ class TestMetricsHistory:
         json.dumps(payload)
 
     def test_derive_can_be_skipped_and_window_trimmed(self, data):
-        state = obs.configure(history=True, history_interval=3600.0)
+        state = obs.configure()
         api = _api(data)
+        state.enable_slos(api.metrics_registry, history_interval=3600.0)
         state.history.sample()
         state.history.sample()
         _, payload = api.dispatch(
@@ -100,44 +103,22 @@ class TestMetricsHistory:
         assert payload["enabled"] is True
         assert len(payload["samples"]) >= 1  # newest sample always kept
 
-
-class TestProfileEndpoint:
-    def test_disabled_marker_in_both_formats(self, data):
+    def test_sample_reads_live_gauges_without_a_scrape(self, data):
+        state = obs.configure()
         api = _api(data)
-        status, payload = api.dispatch("GET", "/v1/profile")
-        assert status == 200
-        assert "disabled" in str(payload)
-        status, payload = api.dispatch(
-            "GET", "/v1/profile", query={"format": "json"}
-        )
-        assert payload["enabled"] is False
-
-    def test_live_profiler_serves_collapsed_stacks(self, data):
-        obs.start_profiler(interval=0.005)
-        api = _api(data)
-        deadline = time.perf_counter() + 5.0
-        while (
-            obs.profiler().samples == 0
-            and time.perf_counter() < deadline
-        ):
-            api.dispatch("GET", "/v1/datasets")
-        status, payload = api.dispatch(
-            "GET", "/v1/profile", query={"format": "json"}
-        )
-        assert status == 200
-        assert payload["enabled"] is True
-        assert payload["samples"] >= 1
-        status, text = api.dispatch("GET", "/v1/profile")
-        assert status == 200
-        assert text.content_type.startswith("text/plain")
+        state.enable_slos(api.metrics_registry, history_interval=3600.0)
+        for _ in range(2):
+            api.dispatch("POST", "/v1/sessions", {"dataset": "demo"})
+        sample = state.history.sample()
+        assert gauge_value(sample, "repro_sessions_in_memory") == 2
 
 
 class TestOverHttp:
-    def test_client_round_trip_history_health_profile(self, data):
-        state = obs.configure(slos=True, history_interval=3600.0)
-        obs.start_profiler(interval=0.01)
-        manager = SessionManager({"demo": data})
-        server = ReproServer(manager, port=0)
+    def test_client_round_trip_history_health(self, data):
+        state = obs.configure()
+        api = _api(data)
+        state.enable_slos(api.metrics_registry, history_interval=3600.0)
+        server = ReproServer(api, port=0)
         server.start_background()
         try:
             client = ServiceClient(server.base_url)
@@ -151,9 +132,6 @@ class TestOverHttp:
             assert len(history["samples"]) >= 2
             health = client.health()
             assert "slos" in health
-            assert client.profile()["enabled"] is True
-            text = client.profile_text()
-            assert isinstance(text, str)
         finally:
             server.stop()
 
@@ -174,28 +152,3 @@ class TestOverHttp:
         assert state.events.rotations >= 1
         events = list(obs.read_events(path))
         assert len(events) == 10
-
-
-class TestSlowRequestExemplar:
-    def test_slow_request_event_carries_profile_excerpt(self, data, tmp_path):
-        path = tmp_path / "events.jsonl"
-        obs.configure(event_log=str(path), slow_ms=0.0)
-        obs.start_profiler(interval=0.002)
-        api = _api(data)
-        # burn enough wall clock inside the request for the sampler to
-        # land at least one tick on this thread
-        deadline = time.perf_counter() + 5.0
-        event = None
-        while time.perf_counter() < deadline:
-            api.dispatch("POST", "/v1/sessions", {"dataset": "demo"})
-            events = [
-                e for e in obs.read_events(path) if e.get("profile")
-            ]
-            if events:
-                event = events[-1]
-                break
-        assert event is not None, "no slow event captured a profile excerpt"
-        assert event["slow"] is True
-        rows = event["profile"]
-        assert rows[0]["count"] >= 1
-        assert ";" in rows[0]["stack"]

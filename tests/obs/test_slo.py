@@ -77,7 +77,7 @@ def _spaced(recorder, mono=None):
 class TestEvaluateWindow:
     def test_quantile_ceiling_ok_and_breach(self):
         registry, latency, _, _ = _service_registry()
-        recorder = TimeSeriesRecorder(registry, 60.0, 16)
+        recorder = TimeSeriesRecorder(lambda: registry, 60.0, 16)
         first = _spaced(recorder, mono=0.0)
         for _ in range(20):
             latency.labels(route=VIEW_ROUTE, status="200").observe(0.05)
@@ -98,7 +98,7 @@ class TestEvaluateWindow:
 
     def test_quantile_needs_min_count(self):
         registry, latency, _, _ = _service_registry()
-        recorder = TimeSeriesRecorder(registry, 60.0, 16)
+        recorder = TimeSeriesRecorder(lambda: registry, 60.0, 16)
         first = _spaced(recorder, mono=0.0)
         last = _spaced(recorder, mono=30.0)
         slo = default_slos()[0]
@@ -106,7 +106,7 @@ class TestEvaluateWindow:
 
     def test_error_rate_ratio_with_status_class(self):
         registry, _, requests, _ = _service_registry()
-        recorder = TimeSeriesRecorder(registry, 60.0, 16)
+        recorder = TimeSeriesRecorder(lambda: registry, 60.0, 16)
         first = _spaced(recorder, mono=0.0)
         for _ in range(98):
             requests.labels(route="GET /x", status="200").inc()
@@ -119,7 +119,7 @@ class TestEvaluateWindow:
 
     def test_ratio_floor_burns_when_hits_dry_up(self):
         registry, _, _, lookups = _service_registry()
-        recorder = TimeSeriesRecorder(registry, 60.0, 16)
+        recorder = TimeSeriesRecorder(lambda: registry, 60.0, 16)
         first = _spaced(recorder, mono=0.0)
         lookups.labels(result="miss").inc(10)
         last = _spaced(recorder, mono=30.0)
@@ -130,7 +130,7 @@ class TestEvaluateWindow:
 
     def test_ratio_floor_below_min_count_is_no_data(self):
         registry, _, _, lookups = _service_registry()
-        recorder = TimeSeriesRecorder(registry, 60.0, 16)
+        recorder = TimeSeriesRecorder(lambda: registry, 60.0, 16)
         first = _spaced(recorder, mono=0.0)
         lookups.labels(result="miss").inc(2)  # < min_count=5 lookups
         last = _spaced(recorder, mono=30.0)
@@ -143,7 +143,7 @@ class TestEvaluateSamples:
         """Samples where the long window is healthy but the short window
         p99 breaches (degraded), plus a fully-breaching set."""
         registry, latency, _, _ = _service_registry()
-        recorder = TimeSeriesRecorder(registry, 60.0, 64)
+        recorder = TimeSeriesRecorder(lambda: registry, 60.0, 64)
         samples = [_spaced(recorder, mono=0.0)]
         for _ in range(400):
             latency.labels(route=VIEW_ROUTE, status="200").observe(0.05)
@@ -167,7 +167,7 @@ class TestEvaluateSamples:
 
     def test_ready_when_all_ok(self):
         registry, latency, _, _ = _service_registry()
-        recorder = TimeSeriesRecorder(registry, 60.0, 64)
+        recorder = TimeSeriesRecorder(lambda: registry, 60.0, 64)
         samples = [_spaced(recorder, mono=0.0)]
         for _ in range(50):
             latency.labels(route=VIEW_ROUTE, status="200").observe(0.05)
@@ -183,7 +183,7 @@ class TestEvaluateSamples:
 
     def test_engine_reads_its_recorder(self):
         registry, latency, _, _ = _service_registry()
-        recorder = TimeSeriesRecorder(registry, 60.0, 64)
+        recorder = TimeSeriesRecorder(lambda: registry, 60.0, 64)
         recorder.sample()
         for _ in range(20):
             latency.labels(route=VIEW_ROUTE, status="200").observe(0.05)
@@ -200,7 +200,7 @@ class TestSloCheckCli:
 
     def _history_file(self, tmp_path, slow: bool):
         registry, latency, _, _ = _service_registry()
-        recorder = TimeSeriesRecorder(registry, 60.0, 64)
+        recorder = TimeSeriesRecorder(lambda: registry, 60.0, 64)
         samples = [_spaced(recorder, mono=0.0)]
         value = 9.0 if slow else 0.05
         for _ in range(100):

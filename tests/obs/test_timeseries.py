@@ -44,7 +44,7 @@ class TestSampleKey:
 class TestRecorder:
     def test_sample_and_window(self):
         registry, requests, _, _ = _registry()
-        recorder = TimeSeriesRecorder(registry, interval=60.0, capacity=4)
+        recorder = TimeSeriesRecorder(lambda: registry, interval=60.0, capacity=4)
         requests.labels(route="GET /x", status="200").inc()
         recorder.sample()
         requests.labels(route="GET /x", status="200").inc(2)
@@ -56,14 +56,14 @@ class TestRecorder:
 
     def test_capacity_bounds_the_ring(self):
         registry, _, _, _ = _registry()
-        recorder = TimeSeriesRecorder(registry, interval=60.0, capacity=3)
+        recorder = TimeSeriesRecorder(lambda: registry, interval=60.0, capacity=3)
         for _ in range(10):
             recorder.sample()
         assert len(recorder) == 3
 
     def test_window_seconds_filters_by_mono(self):
         registry, _, _, _ = _registry()
-        recorder = TimeSeriesRecorder(registry, interval=60.0, capacity=16)
+        recorder = TimeSeriesRecorder(lambda: registry, interval=60.0, capacity=16)
         old = recorder.sample()
         old["mono"] -= 100.0  # age the first sample artificially
         recorder.sample()
@@ -73,7 +73,7 @@ class TestRecorder:
 
     def test_thread_starts_and_stops(self):
         registry, _, _, _ = _registry()
-        recorder = TimeSeriesRecorder(registry, interval=0.01, capacity=64)
+        recorder = TimeSeriesRecorder(lambda: registry, interval=0.01, capacity=64)
         recorder.start()
         try:
             assert recorder.running
@@ -87,15 +87,15 @@ class TestRecorder:
     def test_invalid_parameters_raise(self):
         registry, _, _, _ = _registry()
         with pytest.raises(ValueError):
-            TimeSeriesRecorder(registry, interval=0.0)
+            TimeSeriesRecorder(lambda: registry, interval=0.0)
         with pytest.raises(ValueError):
-            TimeSeriesRecorder(registry, capacity=1)
+            TimeSeriesRecorder(lambda: registry, capacity=1)
 
 
 class TestCounterDelta:
     def test_increase_over_window(self):
         registry, requests, _, _ = _registry()
-        recorder = TimeSeriesRecorder(registry, interval=60.0, capacity=8)
+        recorder = TimeSeriesRecorder(lambda: registry, interval=60.0, capacity=8)
         requests.labels(route="GET /x", status="200").inc(3)
         first = recorder.sample()
         requests.labels(route="GET /x", status="200").inc(5)
@@ -108,7 +108,7 @@ class TestCounterDelta:
 
     def test_child_born_mid_window_counts_from_zero(self):
         registry, requests, _, _ = _registry()
-        recorder = TimeSeriesRecorder(registry, interval=60.0, capacity=8)
+        recorder = TimeSeriesRecorder(lambda: registry, interval=60.0, capacity=8)
         first = recorder.sample()
         requests.labels(route="GET /x", status="200").inc(4)
         last = recorder.sample()
@@ -117,18 +117,18 @@ class TestCounterDelta:
     def test_counter_reset_clamps_to_end_value(self):
         # Simulate a restarted shard: the end value is *below* the start.
         registry, requests, _, _ = _registry()
-        recorder = TimeSeriesRecorder(registry, interval=60.0, capacity=8)
+        recorder = TimeSeriesRecorder(lambda: registry, interval=60.0, capacity=8)
         requests.labels(route="GET /x", status="200").inc(10)
         first = recorder.sample()
         fresh, requests2, _, _ = _registry()
         requests2.labels(route="GET /x", status="200").inc(3)
-        recorder2 = TimeSeriesRecorder(fresh, interval=60.0, capacity=8)
+        recorder2 = TimeSeriesRecorder(lambda: fresh, interval=60.0, capacity=8)
         last = recorder2.sample()
         assert counter_delta(first, last, "repro_requests_total") == 3.0
 
     def test_missing_family_is_zero(self):
         registry, _, _, _ = _registry()
-        recorder = TimeSeriesRecorder(registry, interval=60.0, capacity=8)
+        recorder = TimeSeriesRecorder(lambda: registry, interval=60.0, capacity=8)
         first = recorder.sample()
         last = recorder.sample()
         assert counter_delta(first, last, "nope_total") == 0.0
@@ -137,7 +137,7 @@ class TestCounterDelta:
 class TestHistogramDelta:
     def test_windowed_buckets_cover_only_the_window(self):
         registry, _, latency, _ = _registry()
-        recorder = TimeSeriesRecorder(registry, interval=60.0, capacity=8)
+        recorder = TimeSeriesRecorder(lambda: registry, interval=60.0, capacity=8)
         latency.labels(route="GET /x").observe(0.05)
         first = recorder.sample()
         latency.labels(route="GET /x").observe(0.5)
@@ -156,7 +156,7 @@ class TestHistogramDelta:
 
     def test_sums_across_children(self):
         registry, _, latency, _ = _registry()
-        recorder = TimeSeriesRecorder(registry, interval=60.0, capacity=8)
+        recorder = TimeSeriesRecorder(lambda: registry, interval=60.0, capacity=8)
         first = recorder.sample()
         latency.labels(route="GET /x").observe(0.05)
         latency.labels(route="GET /y").observe(0.05)
@@ -175,9 +175,9 @@ class TestHistogramDelta:
         other.histogram(
             "h", "H.", labelnames=("k",), buckets=(2.0,)
         ).labels(k="a").observe(0.5)
-        first = TimeSeriesRecorder(registry, 60.0, 8).sample()
+        first = TimeSeriesRecorder(lambda: registry, 60.0, 8).sample()
         # splice a mismatched child into the same family snapshot
-        mixed = TimeSeriesRecorder(other, 60.0, 8).sample()
+        mixed = TimeSeriesRecorder(lambda: other, 60.0, 8).sample()
         mixed["families"]["h"]["samples"].extend(
             first["families"]["h"]["samples"]
         )
@@ -188,7 +188,7 @@ class TestHistogramDelta:
 class TestGaugeAndDerive:
     def test_gauge_value_combines_children(self):
         registry, _, _, sessions = _registry()
-        recorder = TimeSeriesRecorder(registry, interval=60.0, capacity=8)
+        recorder = TimeSeriesRecorder(lambda: registry, interval=60.0, capacity=8)
         sessions.default().set(7)
         last = recorder.sample()
         assert gauge_value(last, "repro_sessions_in_memory") == 7.0
@@ -196,7 +196,7 @@ class TestGaugeAndDerive:
 
     def test_derive_reports_rates_and_windowed_quantiles(self):
         registry, requests, latency, sessions = _registry()
-        recorder = TimeSeriesRecorder(registry, interval=60.0, capacity=8)
+        recorder = TimeSeriesRecorder(lambda: registry, interval=60.0, capacity=8)
         first = recorder.sample()
         for _ in range(10):
             requests.labels(route="GET /x", status="200").inc()

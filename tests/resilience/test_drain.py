@@ -372,30 +372,60 @@ def test_sharded_sigterm_drains_checkpoints_and_restart_resumes(
     _sigterm_then_resume(tmp_path, short_tmp, "--workers", "2")
 
 
-def test_sharded_serve_refuses_single_process_options():
-    """With ``--workers N`` the workers run the requests; options that
-    only set up a single serving process are refused, not ignored."""
-    flags = [
-        "--profile", "--profile-hz", "50", "--obs-rotate-mb", "1",
-        "--history-interval", "0.5", "--history-capacity", "10",
-        "--view-p99-budget", "1.5",
-    ]
+def test_sharded_serve_records_history_and_grades_slos_at_the_door(
+    tmp_path, short_tmp
+):
+    """``--workers 2`` takes every ``serve`` option, and the door records
+    the workers' merged metrics and grades its SLOs on them."""
+    log = tmp_path / "ev.jsonl"
+    env = {
+        "PYTHONPATH": _REPO_SRC,
+        "PATH": "/usr/bin:/bin:/usr/local/bin",
+        "PYTHONUNBUFFERED": "1",
+        "TMPDIR": str(short_tmp),
+    }
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "2", *flags],
+         "--workers", "2", "--obs", "--obs-log", str(log),
+         "--obs-rotate-mb", "1", "--history-interval", "0.2",
+         "--history-capacity", "50", "--view-p99-budget", "1.5"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={"PYTHONPATH": _REPO_SRC, "PATH": "/usr/bin:/bin:/usr/local/bin"},
-        start_new_session=True,
+        env=env, start_new_session=True,
     )
     try:
-        _out, err = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
+        banner = _read_until(proc, "repro service on http://")
+        url = f"http://127.0.0.1:{int(banner.rsplit(':', 1)[1])}"
+        client = ServiceClient(url, breaker=False)
+        for seed in range(4):
+            sid = client.create_session("three-d", seed=seed)
+            client.mark_cluster(sid, rows=range(8), label="blob")
+            client.view(sid)
+        time.sleep(1.0)  # the recorder samples after the last request
+
+        history = client.metrics_history()
+        with urllib.request.urlopen(f"{url}/v1/workers", timeout=30) as reply:
+            workers = json.loads(reply.read())["workers"]
+        health = client.health()
+
+        assert history["enabled"] is True
+        assert len(history["samples"]) >= 2
+        last = history["samples"][-1]["families"]["repro_requests_total"]
+        assert sum(s["value"] for s in last["samples"]) == sum(
+            w["requests_total"] for w in workers
+        ) > 0
+        slos = {row["name"]: row for row in health["slos"]}
+        assert slos["view-latency-p99"]["long"]["threshold"] == 1.5
+        assert health["workers"]["alive"] == 2
+        check = subprocess.run(
+            [sys.executable, "-m", "repro", "slo", "check", "--url", url,
+             "--objective", "view-latency-p99"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert check.returncode == 0, check.stdout + check.stderr
+        assert (tmp_path / "ev.jsonl.worker0").exists()
+        assert (tmp_path / "ev.jsonl.worker1").exists()
+    finally:
         _stop_group(proc)
-        pytest.fail("serve --workers 2 started instead of refusing")
-    assert proc.returncode == 2
-    for flag in flags:
-        if flag.startswith("--"):
-            assert flag in err, (flag, err)
 
 
 @pytest.mark.parametrize("budget", ["inf", "1e300", "nan"])

@@ -234,6 +234,21 @@ class TestFleetLifecycle:
         assert [w.alive() for w in workers] == [False, False]
         assert [len(w._clients) for w in workers] == [0, 0]
 
+    def test_each_worker_rotates_its_own_event_log(self, short_tmp, tmp_path):
+        log = tmp_path / "ev.jsonl"
+        router = start_fleet(
+            1,
+            WorkerConfig(obs_log=str(log), obs_log_max_bytes=400),
+            str(short_tmp),
+        )
+        try:
+            for _ in range(10):
+                assert router.dispatch("GET", "/v1/datasets")[0] == 200
+        finally:
+            router.close()
+        assert (tmp_path / "ev.jsonl.worker0").exists()
+        assert (tmp_path / "ev.jsonl.worker0.1").exists()
+
     def test_too_long_socket_path_fails_before_any_worker_starts(
         self, tmp_path, monkeypatch
     ):

@@ -5,11 +5,15 @@ busy-timeout, so concurrent appenders must never lose a record, never
 reuse a sequence number, and ``list_ids`` must stay consistent.
 """
 
+import multiprocessing
 import subprocess
 import sys
 import threading
 from pathlib import Path
 
+import pytest
+
+from repro.service.cache import L2SolveCache
 from repro.store.sqlite import SQLiteStore
 
 _REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -172,3 +176,39 @@ class TestProcesses:
         covered = set(range(1, ckpt_seq + 1)) | {r.seq for r in tail}
         assert set(acked) <= covered
         store.close()
+
+
+def _open_after(opener, path, barrier, results) -> None:
+    """Forked child: wait for the others, open ``path``, report."""
+    barrier.wait()
+    try:
+        opener(path).close()
+        results.put(None)
+    except Exception as exc:  # noqa: BLE001 - reported to the parent
+        results.put(f"{type(exc).__name__}: {exc}")
+
+
+@pytest.mark.parametrize("opener", [SQLiteStore, L2SolveCache])
+def test_processes_opening_a_new_file_together_all_succeed(tmp_path, opener):
+    """The first switch of a new file to WAL is retried while another
+    process switches it, instead of failing at once with "database is
+    locked" (a fleet's workers open the shared files together)."""
+    ctx = multiprocessing.get_context("fork")
+    failures = []
+    for trial in range(40):
+        barrier = ctx.Barrier(3)
+        results = ctx.Queue()
+        children = [
+            ctx.Process(
+                target=_open_after,
+                args=(opener, tmp_path / f"{trial}.db", barrier, results),
+            )
+            for _ in range(3)
+        ]
+        for child in children:
+            child.start()
+        failures += [results.get(timeout=60) for _ in children]
+        for child in children:
+            child.join(timeout=60)
+            assert not child.is_alive()
+    assert [f for f in failures if f] == []

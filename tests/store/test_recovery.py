@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.session import ExplorationSession
-from repro.feedback import feedback_from_dict
+from repro.datasets import DATASETS
+from repro.feedback import ClusterFeedback, feedback_from_dict
 from repro.io import session_to_payload
 from repro.service.store import StoreError
 from repro.service.manager import SessionManager
@@ -111,6 +112,45 @@ def resume(store, small_data):
         item["label"] for item in manager.session_stats("s")["feedback_log"]
     ]
     return manager, view, meta, labels
+
+
+class TestTruncatingResume:
+    def test_batch_acked_after_a_truncating_resume_survives_the_next(
+        self, tmp_path
+    ):
+        """The resume deletes the damage it drops, so a batch acknowledged
+        after it follows the replayed prefix and the next resume keeps it
+        (it used to land past the damage and be dropped again)."""
+        path = tmp_path / "s.db"
+
+        def manager():
+            return SessionManager(DATASETS, store=SQLiteStore(path), cache=None)
+
+        def labels(m):
+            log = m.session_stats("s")["feedback_log"]
+            return [item["label"] for item in log]
+
+        first = manager()
+        first.create("three-d", session_id="s", seed=0)
+        for i in range(3):
+            first.apply_feedback(
+                "s", [ClusterFeedback(rows=range(i, i + 5), label=f"b{i}")]
+            )
+        store = SQLiteStore(path)
+        store._execute("UPDATE wal SET checksum = 'bad' WHERE seq = 2")
+        # `repro store verify --policy truncate` only reports the damage.
+        assert verify_store(store, policy="truncate")["ok"] is False
+        assert [r.seq for r in store.feedback_tail("s")[0]] == [1, 2, 3]
+
+        second = manager()
+        assert labels(second) == ["b0"]
+        second.apply_feedback(
+            "s", [ClusterFeedback(rows=range(20, 25), label="new")]
+        )
+        assert [r.seq for r in store.feedback_tail("s")[0]] == [1, 2]
+
+        # A crash: no checkpoint between the two resumes.
+        assert labels(manager()) == ["b0", "new"]
 
 
 class TestReplayParity:

@@ -14,9 +14,7 @@ from repro.core.equivalence import build_equivalence_classes
 _TINY = {"structural": 3, "d": 4, "n": 64, "sweeps": 2, "repeats": 1}
 _TINY_PROJECTION = {"n": 48, "d": 3, "restarts": 2, "iterations": 4,
                     "repeats": 1}
-_TINY_OBS = {"structural": 3, "d": 4, "n": 64, "sweeps": 2, "solves": 1,
-             "repeats": 1, "pairs": 2, "merge_shards": 2,
-             "history_samples": 3}
+_TINY_OBS = {"repeats": 1, "merge_shards": 2, "history_samples": 3}
 
 
 @pytest.fixture
@@ -101,48 +99,14 @@ class TestSuite:
         payload = bench.run_obs_suite(quick=True, seed=0)
         assert payload["suite"] == "obs"
         assert payload["mode"] == "quick"
-        timings = payload["timings"]
-        for key in (
-            "solve_unprofiled_s", "solve_profiled_s",
-            "profiler_overhead_ratio", "history_sample_s",
-            "snapshot_merge_s",
-        ):
-            assert key in timings
-        assert timings["profiler_overhead_ratio"] > 0
-        profiling = payload["profiling"]
-        assert profiling["bound"] == bench.PROFILER_OVERHEAD_BOUND
-        assert profiling["hz"] == pytest.approx(100.0)
-        assert isinstance(profiling["within_bound"], bool)
-        # ratio is rounded to 4dp in the section, 6dp in timings
-        assert profiling["ratio"] == pytest.approx(
-            timings["profiler_overhead_ratio"], abs=5e-5
-        )
+        assert set(payload["timings"]) == {
+            "history_sample_s", "snapshot_merge_s",
+        }
+        assert all(value > 0 for value in payload["timings"].values())
         path = bench.write_payload(payload, tmp_path)
         assert path.name == "BENCH_obs.json"
         saved = json.loads(path.read_text())
         assert saved["workload"]["merge_shards"] == _TINY_OBS["merge_shards"]
-        # the overhead number is recorded in the artifact (acceptance)
-        assert "profiling" in saved
-
-    def test_obs_profiling_section_rendered(self, tiny_sizes):
-        payload = bench.run_obs_suite(quick=True, seed=0)
-        text = bench.format_payload(payload)
-        assert "profiling:" in text
-        assert "ratio" in text
-
-    def test_obs_ratio_gated_by_baselines(self, tiny_sizes, tmp_path):
-        payload = bench.run_obs_suite(quick=True, seed=0)
-        gate = tmp_path / "gate.json"
-        gate.write_text(json.dumps({
-            "tolerance": 2.0,
-            "obs": {"quick": {"profiler_overhead_ratio": 0.55}},
-        }))
-        # force a breach: a ratio above baseline x tolerance must fail
-        payload["timings"]["profiler_overhead_ratio"] = 1.2
-        failures = bench.check_baselines(payload, gate)
-        assert failures and "profiler_overhead_ratio" in failures[0]
-        payload["timings"]["profiler_overhead_ratio"] = 1.05
-        assert bench.check_baselines(payload, gate) == []
 
     def test_check_baselines_passes_and_fails(self, tiny_sizes, tmp_path):
         payload = bench.run_core_solver_suite(quick=True, seed=0)
